@@ -74,6 +74,11 @@ class Ticket:
     def done(self) -> bool:
         return self._done.is_set()
 
+    @property
+    def failed(self) -> bool:
+        """True once the ticket resolved with an apply error."""
+        return self._error is not None
+
     def wait(self, timeout: Optional[float] = None) -> Optional[int]:
         """Block until resolved; returns the WAL sequence number (None if
         the service runs without a WAL), or raises the apply error."""

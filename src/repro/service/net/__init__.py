@@ -1,38 +1,31 @@
-"""Network front end for the update service.
+"""Network front end for the update service: one transport (asyncio),
+one wire version.
 
-The package splits along the axis the shard router will reuse:
-
-* :mod:`~repro.service.net.core` — the transport-agnostic framing
-  codec (length-prefixed JSON frames, the incremental
-  :class:`FrameDecoder`, protocol v2 chunked responses, error-code
-  mapping);
+* :mod:`~repro.service.net.core` — the sans-IO framing codec
+  (length-prefixed JSON frames, the incremental :class:`FrameDecoder`,
+  chunked responses, error-code mapping, the ``BUSY`` retry schedule);
 * :mod:`~repro.service.net.handlers` — the request
-  :class:`~repro.service.net.handlers.Dispatcher` shared by both
-  servers;
-* :mod:`~repro.service.net.threaded` — the thread-per-connection
-  :class:`NetServer` and the blocking :class:`ServiceClient`;
-* :mod:`~repro.service.net.aio` — the asyncio
+  :class:`~repro.service.net.handlers.Dispatcher`;
+* :mod:`~repro.service.net.aio` — the loop-thread helper, the frame
+  server/connection bases the shard router shares,
   :class:`AsyncNetServer` (pipelined frames, 10k+ connections) and
-  :class:`AsyncServiceClient`.
-
-Everything importable from the old ``repro.service.net`` module is
-re-exported here unchanged.
+  :class:`AsyncServiceClient`;
+* :mod:`~repro.service.net.blocking` — :class:`ServiceClient`, the
+  blocking facade over the async client.
 """
 
 from repro.service.net.aio import (
     AsyncNetServer,
     AsyncServiceClient,
     read_frame_async,
-    write_frame_async,
 )
+from repro.service.net.blocking import ServiceClient
 from repro.service.net.core import (
     DEFAULT_CHUNK_BYTES,
     ERROR_CODES,
     HEADER,
     MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
-    PROTOCOL_VERSION_CHUNKED,
-    SUPPORTED_VERSIONS,
     ChunkAssembler,
     FrameDecoder,
     decode_frame_payload,
@@ -40,12 +33,9 @@ from repro.service.net.core import (
     error_frame,
     error_to_exception,
     parse_address,
-    recv_frame,
-    send_frame,
     split_response,
 )
 from repro.service.net.handlers import Dispatcher
-from repro.service.net.threaded import NetServer, ServiceClient
 
 __all__ = [
     "AsyncNetServer",
@@ -57,10 +47,7 @@ __all__ = [
     "FrameDecoder",
     "HEADER",
     "MAX_FRAME_BYTES",
-    "NetServer",
     "PROTOCOL_VERSION",
-    "PROTOCOL_VERSION_CHUNKED",
-    "SUPPORTED_VERSIONS",
     "ServiceClient",
     "decode_frame_payload",
     "encode_frame",
@@ -68,8 +55,5 @@ __all__ = [
     "error_to_exception",
     "parse_address",
     "read_frame_async",
-    "recv_frame",
-    "send_frame",
     "split_response",
-    "write_frame_async",
 ]

@@ -1,49 +1,54 @@
-"""The asyncio front end: an event-loop server multiplexing thousands
-of connections with pipelined frames, and an async client.
+"""The one transport: an asyncio frame server and an async client.
 
-**Server shape.**  :class:`AsyncNetServer` hosts an asyncio event loop
-on a background thread, so its lifecycle API (``start`` / ``address`` /
-``close``) is synchronous and drop-in for :class:`NetServer` — the CLI,
-tests, and benches drive either interchangeably.  Each connection is a
-coroutine that *only* parses frames and writes responses; every
-dispatch (SQLite through the reader pool, group-commit waits — all
-blocking by design) runs on a thread-pool executor.  An idle connection
-therefore costs one task and a few KiB, which is what lets one process
-hold 10k+ connections where thread-per-connection capped out at
-hundreds.
+**Shared machinery.**  :class:`LoopThread` hosts an event loop on a
+background thread; :class:`FrameServer` (listener lifecycle, connection
+admission, graceful drain) and :class:`FrameConnection` (the
+per-connection read loop) are the bases that both
+:class:`AsyncNetServer` here and the shard router
+(:mod:`repro.service.router`) extend — the two differ only in what
+handles one decoded request and what a connection waits for before it
+is settled.  Because the loop lives on its own thread, a server's
+lifecycle API (``start`` / ``address`` / ``close``) is synchronous: the
+CLI, tests and benches drive it from plain threads.
 
-**Pipelining.**  Request ids already permit out-of-order completion, so
-the one-in-flight-per-connection restriction is gone: the read loop
-keeps parsing frames while earlier dispatches are still executing, each
-response is written (under a per-connection write lock, so chunk
+**Server shape.**  Each connection is a coroutine that *only* parses
+frames and writes responses; every dispatch (SQLite through the reader
+pool, group-commit waits — all blocking by design) runs on a
+thread-pool executor.  An idle connection therefore costs one task and
+a few KiB, which is what lets one process hold 10k+ connections.
+
+**Pipelining.**  Request ids permit out-of-order completion: the read
+loop keeps parsing frames while earlier dispatches are still executing,
+each response is written (under a per-connection write lock, so chunk
 sequences stay contiguous) whenever its dispatch finishes, and
 ``max_inflight`` bounds the concurrently executing requests per
 connection — the excess is shed with retryable ``BUSY`` frames instead
 of buffered.
 
-**Admission and drain** carry over from the threaded server: at most
-``max_connections`` (excess answered with one ``BUSY`` frame and
-closed), and ``close()`` stops accepting, lets in-flight dispatches
-finish against a deadline, closes each session (waiting out its tickets
-— acked async submits are durable before drain completes), counts
-stragglers into ``net.close.undrained_connections``, and finally closes
-the service when it owns it.  All ``net.*`` metrics carry over too.
+**Admission and drain.**  At most ``max_connections`` (excess answered
+with one ``BUSY`` frame and closed); ``close()`` stops accepting, lets
+in-flight dispatches finish against a deadline, closes each session
+(waiting out its tickets — acked async submits are durable before drain
+completes), counts stragglers into
+``net.close.undrained_connections``, and finally closes the service
+when it owns it.
 
-**Streaming responses.**  A v2 request whose query result exceeds the
-chunk threshold is answered with bounded chunk frames
-(:func:`~repro.service.net.core.split_response`); v1 connections get
-the original single-frame responses.
+**Streaming responses.**  A query result above the chunk threshold is
+answered with bounded chunk frames
+(:func:`~repro.service.net.core.split_response`).
 """
 
 from __future__ import annotations
 
 import asyncio
+import concurrent.futures
+import itertools
 import random
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
-from typing import Any, Optional
+from typing import Any, Coroutine, Iterable, Optional
 
 from repro.errors import (
     ProtocolError,
@@ -59,13 +64,14 @@ from repro.service.net.core import (
     DEFAULT_CHUNK_BYTES,
     HEADER,
     MAX_FRAME_BYTES,
-    PROTOCOL_VERSION_CHUNKED,
-    SUPPORTED_VERSIONS,
+    PROTOCOL_VERSION,
     ChunkAssembler,
+    busy_retry_delay,
     decode_frame_payload,
     encode_frame,
     error_frame,
     error_to_exception,
+    reply_id,
     split_response,
 )
 from repro.service.net.handlers import Dispatcher
@@ -76,10 +82,10 @@ from repro.service.server import UpdateService
 # ----------------------------------------------------------------------
 # Async frame I/O
 # ----------------------------------------------------------------------
-async def read_frame_async(
+async def read_raw_frame(
     reader: asyncio.StreamReader, *, stall_timeout: Optional[float] = None
-) -> Optional[dict]:
-    """Read one frame; None on clean EOF between frames.
+) -> Optional[bytes]:
+    """One frame's payload bytes; None on clean EOF between frames.
 
     Waiting for a frame to *begin* is untimed (idle connections are
     fine); once the first byte has arrived the remainder must land
@@ -91,13 +97,12 @@ async def read_frame_async(
     if not first:
         return None
 
-    async def rest() -> dict:
+    async def rest() -> bytes:
         header = first + await reader.readexactly(HEADER.size - 1)
         (length,) = HEADER.unpack(header)
         if length > MAX_FRAME_BYTES:
             raise ProtocolError(f"frame of {length} bytes exceeds {MAX_FRAME_BYTES}")
-        payload = await reader.readexactly(length)
-        return decode_frame_payload(payload)
+        return await reader.readexactly(length)
 
     try:
         if stall_timeout is None:
@@ -109,109 +114,229 @@ async def read_frame_async(
         raise ProtocolError("peer stalled mid-frame") from None
 
 
-async def write_frame_async(writer: asyncio.StreamWriter, obj: dict) -> None:
-    writer.write(encode_frame(obj))
-    await writer.drain()
+async def read_frame_async(
+    reader: asyncio.StreamReader, *, stall_timeout: Optional[float] = None
+) -> Optional[dict]:
+    """One decoded frame; None on clean EOF between frames."""
+    payload = await read_raw_frame(reader, stall_timeout=stall_timeout)
+    return None if payload is None else decode_frame_payload(payload)
 
 
 # ----------------------------------------------------------------------
-# Server
+# An event loop on a thread
 # ----------------------------------------------------------------------
-class AsyncNetServer:
-    """An asyncio TCP front end over one :class:`UpdateService`.
+class LoopThread:
+    """An asyncio event loop running on its own daemon thread, driven
+    from ordinary threads through :meth:`run`."""
 
-    The event loop runs on a background thread, so ``start()`` /
-    ``close()`` are synchronous and the server is interchangeable with
-    the threaded :class:`~repro.service.net.threaded.NetServer`.
+    def __init__(self, name: str) -> None:
+        self._loop = asyncio.new_event_loop()
+        self._thread = threading.Thread(target=self._main, name=name, daemon=True)
+        self._thread.start()
+
+    def _main(self) -> None:
+        asyncio.set_event_loop(self._loop)
+        try:
+            self._loop.run_forever()
+        finally:
+            self._loop.run_until_complete(self._loop.shutdown_asyncgens())
+            self._loop.close()
+
+    def submit(self, coro: Coroutine) -> concurrent.futures.Future:
+        """Schedule ``coro`` on the loop without waiting for it."""
+        return asyncio.run_coroutine_threadsafe(coro, self._loop)
+
+    def run(self, coro: Coroutine, timeout: Optional[float] = None) -> Any:
+        """Run ``coro`` on the loop and block for its result."""
+        return self.submit(coro).result(timeout)
+
+    def stop(self, timeout: float = 10.0) -> None:
+        self._loop.call_soon_threadsafe(self._loop.stop)
+        self._thread.join(timeout)
+
+
+# ----------------------------------------------------------------------
+# Frame server and connection bases
+# ----------------------------------------------------------------------
+class FrameConnection:
+    """One client connection: read frames until EOF or drain, hand each
+    decoded request to :meth:`handle`, then :meth:`settle` whatever is
+    still in flight before closing.
+
+    Subclasses say what a request means (:meth:`handle`), what must
+    finish before the connection may close (:meth:`settle`), and what
+    the connection owns (:meth:`release`).
     """
 
     def __init__(
         self,
-        service: UpdateService,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        *,
-        max_connections: int = 10_000,
-        max_inflight: int = 64,
-        max_request_timeout: float = 30.0,
-        own_service: bool = False,
-        chunk_bytes: int = DEFAULT_CHUNK_BYTES,
-        executor_workers: int = 32,
+        server: "FrameServer",
+        conn_id: int,
+        reader: asyncio.StreamReader,
+        writer: asyncio.StreamWriter,
     ) -> None:
-        self.service = service
+        self.server = server
+        self.id = conn_id
+        self.reader = reader
+        self.writer = writer
+        self.stopping = asyncio.Event()
+        self.done = asyncio.Event()
+        self._write_lock = asyncio.Lock()
+        self._tasks: set[asyncio.Task] = set()
+
+    async def handle(self, request: dict, payload: bytes) -> None:
+        raise NotImplementedError
+
+    async def settle(self) -> None:
+        """Every accepted request still completes and its response
+        still goes out before the connection closes."""
+        if self._tasks:
+            await asyncio.gather(*self._tasks, return_exceptions=True)
+
+    async def release(self) -> None:
+        """Give up what the connection owns (runs exactly once)."""
+
+    def spawn(self, coro: Coroutine) -> asyncio.Task:
+        """Run ``coro`` as a task this connection waits for (or, past
+        the drain deadline, cancels)."""
+        task = asyncio.get_running_loop().create_task(coro)
+        self._tasks.add(task)
+        task.add_done_callback(self._tasks.discard)
+        return task
+
+    def abort(self) -> None:
+        """Drain deadline passed: cut the connection loose."""
+        for task in list(self._tasks):
+            task.cancel()
+        try:
+            self.writer.close()
+        except Exception:
+            pass
+
+    async def serve(self) -> None:
+        stall_timeout = self.server._max_request_timeout
+        stop_task = asyncio.create_task(self.stopping.wait())
+        try:
+            while True:
+                read_task = asyncio.create_task(
+                    read_raw_frame(self.reader, stall_timeout=stall_timeout)
+                )
+                await asyncio.wait(
+                    {read_task, stop_task}, return_when=asyncio.FIRST_COMPLETED
+                )
+                if not read_task.done():
+                    read_task.cancel()  # idle (or mid-frame) during drain
+                    try:
+                        await read_task
+                    except (asyncio.CancelledError, Exception):
+                        pass
+                    break
+                try:
+                    payload = read_task.result()
+                    if payload is None:
+                        break  # clean EOF
+                    request = decode_frame_payload(payload)
+                except (ProtocolError, OSError, ConnectionError):
+                    break  # malformed stream or dead peer: drop it
+                await self.handle(request, payload)
+            await self.settle()
+        finally:
+            stop_task.cancel()
+            for task in list(self._tasks):
+                task.cancel()
+            await self.release()
+            try:
+                self.writer.close()
+                await self.writer.wait_closed()
+            except Exception:
+                pass
+            self.done.set()
+
+    # The write lock keeps a chunk sequence contiguous even while other
+    # pipelined responses are completing.
+    async def _send(self, frames: Iterable[bytes]) -> None:
+        try:
+            async with self._write_lock:
+                for data in frames:
+                    self.writer.write(data)
+                    await self.writer.drain()
+        except (OSError, ConnectionError):
+            pass  # dead peer: the read loop will notice EOF and exit
+
+    async def send_frames(self, frames: Iterable[dict]) -> None:
+        await self._send(encode_frame(frame) for frame in frames)
+
+    async def send_raw(self, payload: bytes) -> None:
+        """Relay one frame's payload bytes verbatim (no re-encode)."""
+        await self._send((HEADER.pack(len(payload)) + payload,))
+
+
+class FrameServer:
+    """A TCP listener speaking the frame protocol, its loop on a
+    background thread: synchronous ``start`` / ``address`` / ``close``,
+    connection-limit admission, and a deadline-bounded graceful drain.
+
+    Subclasses build their connections (:meth:`_connection`), name
+    their metrics (``_metrics``), and release what they own once the
+    drain is over (:meth:`_release`).
+    """
+
+    #: Metric-name prefix (``<prefix>.connections``, ``.rejected``, ...).
+    _metrics = "net"
+
+    def __init__(
+        self,
+        host: str,
+        port: int,
+        *,
+        max_connections: int,
+        max_inflight: int,
+        max_request_timeout: float,
+        executor: ThreadPoolExecutor,
+    ) -> None:
         self._host = host
         self._port = port
         self._max_connections = max_connections
         self._max_inflight = max_inflight
         self._max_request_timeout = max_request_timeout
-        self._own_service = own_service
-        self._chunk_bytes = chunk_bytes
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._thread: Optional[threading.Thread] = None
+        self._executor = executor
+        self._loop_thread: Optional[LoopThread] = None
         self._server: Optional[asyncio.base_events.Server] = None
         self._address: Optional[tuple[str, int]] = None
-        self._connections: dict[int, "_AsyncConnection"] = {}
+        self._connections: dict[int, FrameConnection] = {}
         self._next_connection = 0
         self._draining = False
         self._closed = False
-        self._startup_error: Optional[BaseException] = None
-        # Dispatches block (reader pool, group-commit waits); the
-        # worker count is the server-wide execution parallelism, sized
-        # so a few deep pipelines can have every request in flight —
-        # that is where group commit earns its fsync amortisation.
-        self._executor = ThreadPoolExecutor(
-            max_workers=executor_workers, thread_name_prefix="net-aio-exec"
-        )
-        self._dispatcher = Dispatcher(
-            service,
-            max_inflight=max_inflight,
-            max_request_timeout=max_request_timeout,
-            net_info=self._net_info,
-        )
+
+    def _connection(
+        self, conn_id: int, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> FrameConnection:
+        raise NotImplementedError
+
+    def _release(self, timeout: Optional[float]) -> None:
+        """Close what the server owns, after the drain."""
 
     def _net_info(self) -> dict:
         return {
             "connections": len(self._connections),
             "max_connections": self._max_connections,
             "max_inflight": self._max_inflight,
-            "transport": "asyncio",
         }
 
     # ------------------------------------------------------------------
     # Lifecycle (synchronous API; the loop lives on its own thread)
     # ------------------------------------------------------------------
-    def start(self) -> "AsyncNetServer":
-        if self._thread is not None:
+    def start(self):
+        if self._loop_thread is not None:
             raise ServiceError("server already started")
-        started = threading.Event()
-        self._thread = threading.Thread(
-            target=self._run_loop, args=(started,), name="net-aio", daemon=True
-        )
-        self._thread.start()
-        started.wait()
-        if self._startup_error is not None:
-            raise ServiceError(
-                f"async server failed to start: {self._startup_error}"
-            ) from self._startup_error
+        loop_thread = LoopThread(f"{self._metrics}-aio")
+        try:
+            loop_thread.run(self._open_listener())
+        except Exception as error:
+            loop_thread.stop()
+            raise ServiceError(f"server failed to start: {error}") from error
+        self._loop_thread = loop_thread
         return self
-
-    def _run_loop(self, started: threading.Event) -> None:
-        loop = asyncio.new_event_loop()
-        asyncio.set_event_loop(loop)
-        self._loop = loop
-        try:
-            loop.run_until_complete(self._open_listener())
-        except BaseException as error:
-            self._startup_error = error
-            started.set()
-            loop.close()
-            return
-        started.set()
-        try:
-            loop.run_forever()
-        finally:
-            loop.run_until_complete(loop.shutdown_asyncgens())
-            loop.close()
 
     async def _open_listener(self) -> None:
         self._server = await asyncio.start_server(
@@ -226,37 +351,36 @@ class AsyncNetServer:
             raise ServiceError("server not started")
         return self._address
 
-    def __enter__(self) -> "AsyncNetServer":
+    def __enter__(self):
         return self.start()
 
     def __exit__(self, exc_type, exc_value, traceback) -> None:
         self.close()
 
     def close(self, timeout: Optional[float] = 30.0) -> int:
-        """Graceful drain (synchronous): stop accepting, finish
-        in-flight dispatches, drain each session's tickets, then (when
-        owned) close the service.  Returns the number of connections
-        still undrained at the deadline (also counted into the
-        ``net.close.undrained_connections`` counter)."""
+        """Graceful drain (synchronous): stop accepting, let every
+        connection settle against one deadline, then release what the
+        server owns.  Returns the number of connections still undrained
+        at the deadline (also counted into the
+        ``<prefix>.close.undrained_connections`` counter)."""
         if self._closed:
             return 0
         self._closed = True
         undrained = 0
-        if self._loop is not None and self._thread is not None:
-            future = asyncio.run_coroutine_threadsafe(self._drain(timeout), self._loop)
+        if self._loop_thread is not None:
             try:
-                undrained = future.result(
-                    None if timeout is None else timeout + 10.0
+                undrained = self._loop_thread.run(
+                    self._drain(timeout), None if timeout is None else timeout + 10.0
                 )
             except Exception:
                 undrained = len(self._connections)
-            self._loop.call_soon_threadsafe(self._loop.stop)
-            self._thread.join(10.0)
+            self._loop_thread.stop()
         self._executor.shutdown(wait=False, cancel_futures=True)
         if undrained:
-            get_registry().counter("net.close.undrained_connections").inc(undrained)
-        if self._own_service:
-            self.service.close(drain=True, timeout=timeout)
+            get_registry().counter(
+                f"{self._metrics}.close.undrained_connections"
+            ).inc(undrained)
+        self._release(timeout)
         return undrained
 
     async def _drain(self, timeout: Optional[float]) -> int:
@@ -292,139 +416,105 @@ class AsyncNetServer:
     ) -> None:
         registry = get_registry()
         if self._draining or len(self._connections) >= self._max_connections:
-            registry.counter("net.rejected").inc()
+            registry.counter(f"{self._metrics}.rejected").inc()
+            busy = ServiceBusyError(
+                f"connection limit ({self._max_connections}) reached"
+            )
             try:
-                await write_frame_async(
-                    writer,
-                    error_frame(
-                        0,
-                        ServiceBusyError(
-                            f"connection limit ({self._max_connections}) reached"
-                        ),
-                    ),
-                )
+                writer.write(encode_frame(error_frame(0, busy)))
+                await writer.drain()
             except (OSError, ConnectionError):
                 pass
             writer.close()
             return
         self._next_connection += 1
-        connection = _AsyncConnection(
-            self, self._next_connection, reader, writer
-        )
+        connection = self._connection(self._next_connection, reader, writer)
         self._connections[connection.id] = connection
-        registry.gauge("net.connections").inc()
+        gauge = registry.gauge(f"{self._metrics}.connections")
+        gauge.inc()
         try:
             await connection.serve()
         finally:
             self._connections.pop(connection.id, None)
-            registry.gauge("net.connections").dec()
+            gauge.dec()
 
 
-class _AsyncConnection:
-    """One client connection: a read loop that pipelines dispatches."""
+# ----------------------------------------------------------------------
+# The service front end
+# ----------------------------------------------------------------------
+class AsyncNetServer(FrameServer):
+    """The TCP front end over one :class:`UpdateService`: every request
+    is dispatched on a thread-pool executor."""
 
     def __init__(
         self,
-        server: AsyncNetServer,
-        conn_id: int,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
+        service: UpdateService,
+        host: str = "127.0.0.1",
+        port: int = 0,
+        *,
+        max_connections: int = 10_000,
+        max_inflight: int = 64,
+        max_request_timeout: float = 30.0,
+        own_service: bool = False,
+        chunk_bytes: int = DEFAULT_CHUNK_BYTES,
+        executor_workers: int = 32,
     ) -> None:
-        self.server = server
-        self.id = conn_id
-        self.reader = reader
-        self.writer = writer
+        # Dispatches block (reader pool, group-commit waits); the
+        # worker count is the server-wide execution parallelism, sized
+        # so a few deep pipelines can have every request in flight —
+        # that is where group commit earns its fsync amortisation.
+        super().__init__(
+            host,
+            port,
+            max_connections=max_connections,
+            max_inflight=max_inflight,
+            max_request_timeout=max_request_timeout,
+            executor=ThreadPoolExecutor(
+                max_workers=executor_workers, thread_name_prefix="net-aio-exec"
+            ),
+        )
+        self.service = service
+        self._own_service = own_service
+        self._chunk_bytes = chunk_bytes
+        self._dispatcher = Dispatcher(
+            service,
+            max_inflight=max_inflight,
+            max_request_timeout=max_request_timeout,
+            net_info=self._net_info,
+        )
+
+    def _net_info(self) -> dict:
+        return {**super()._net_info(), "transport": "asyncio"}
+
+    def _connection(self, conn_id, reader, writer) -> "_AsyncConnection":
+        return _AsyncConnection(self, conn_id, reader, writer)
+
+    def _release(self, timeout: Optional[float]) -> None:
+        if self._own_service:
+            self.service.close(drain=True, timeout=timeout)
+
+
+class _AsyncConnection(FrameConnection):
+    """One client connection: pipelined dispatches over one session."""
+
+    server: AsyncNetServer
+
+    def __init__(self, server, conn_id, reader, writer) -> None:
+        super().__init__(server, conn_id, reader, writer)
         self.session = server.service.open_session()
-        self.stopping = asyncio.Event()
-        self.done = asyncio.Event()
-        self._write_lock = asyncio.Lock()
-        self._inflight: set[asyncio.Task] = set()
 
-    def abort(self) -> None:
-        """Drain deadline passed: cut the connection loose."""
-        for task in list(self._inflight):
-            task.cancel()
-        try:
-            self.writer.close()
-        except Exception:
-            pass
-
-    # ------------------------------------------------------------------
-    async def serve(self) -> None:
-        registry = get_registry()
+    async def handle(self, request: dict, payload: bytes) -> None:
         server = self.server
-        loop = asyncio.get_running_loop()
-        stop_task = asyncio.create_task(self.stopping.wait())
-        try:
-            while True:
-                read_task = asyncio.create_task(
-                    read_frame_async(
-                        self.reader, stall_timeout=server._max_request_timeout
-                    )
-                )
-                await asyncio.wait(
-                    {read_task, stop_task}, return_when=asyncio.FIRST_COMPLETED
-                )
-                if not read_task.done():
-                    read_task.cancel()  # idle (or mid-frame) during drain
-                    try:
-                        await read_task
-                    except (asyncio.CancelledError, Exception):
-                        pass
-                    break
-                try:
-                    request = read_task.result()
-                except (ProtocolError, OSError, ConnectionError):
-                    break  # malformed stream or dead peer: drop it
-                if request is None:
-                    break  # clean EOF
-                if len(self._inflight) >= server._max_inflight:
-                    # Shed instead of buffering: the pipeline is full.
-                    registry.counter("net.rejected").inc()
-                    request_id = request.get("id", 0)
-                    version = request.get("v")
-                    await self._send_frames(
-                        [
-                            error_frame(
-                                request_id if isinstance(request_id, int) else 0,
-                                ServiceBusyError(
-                                    f"connection has {len(self._inflight)} "
-                                    f"requests executing (limit "
-                                    f"{server._max_inflight}); slow down"
-                                ),
-                                version if version in SUPPORTED_VERSIONS else 1,
-                            )
-                        ]
-                    )
-                    continue
-                task = loop.create_task(self._process(request))
-                self._inflight.add(task)
-                task.add_done_callback(self._inflight.discard)
-            # Drain: every accepted request still completes and its
-            # response still goes out before the connection closes.
-            if self._inflight:
-                await asyncio.gather(*self._inflight, return_exceptions=True)
-        finally:
-            stop_task.cancel()
-            # Session close waits out this connection's tickets —
-            # acked async submits are durable before drain finishes.
-            try:
-                undrained = await loop.run_in_executor(
-                    server._executor,
-                    partial(
-                        self.session.close, timeout=server._max_request_timeout
-                    ),
-                )
-            except RuntimeError:  # executor already shut down
-                undrained = self.session.close(timeout=0.0)
-            if undrained:
-                registry.counter("net.close.undrained").inc(undrained)
-            try:
-                self.writer.close()
-                await self.writer.wait_closed()
-            except Exception:
-                pass
-            self.done.set()
+        if len(self._tasks) >= server._max_inflight:
+            # Shed instead of buffering: the pipeline is full.
+            get_registry().counter("net.rejected").inc()
+            busy = ServiceBusyError(
+                f"connection has {len(self._tasks)} requests executing "
+                f"(limit {server._max_inflight}); slow down"
+            )
+            await self.send_frames([error_frame(reply_id(request), busy)])
+            return
+        self.spawn(self._process(request))
 
     async def _process(self, request: dict) -> None:
         registry = get_registry()
@@ -442,10 +532,8 @@ class _AsyncConnection:
         except asyncio.CancelledError:
             raise
         except Exception as error:
-            request_id = request.get("id", 0)
             response = error_frame(
-                request_id if isinstance(request_id, int) else 0,
-                ServiceError(f"internal error: {error}"),
+                reply_id(request), ServiceError(f"internal error: {error}")
             )
         registry.histogram("net.request_ms").observe(
             (time.monotonic() - started) * 1000.0
@@ -455,18 +543,21 @@ class _AsyncConnection:
         frames = split_response(response, server._chunk_bytes)
         if len(frames) > 1:
             registry.counter("net.chunks").inc(len(frames))
-        await self._send_frames(frames)
+        await self.send_frames(frames)
 
-    async def _send_frames(self, frames: list[dict]) -> None:
-        # The write lock keeps a chunk sequence contiguous even while
-        # other pipelined responses are completing.
+    async def release(self) -> None:
+        # Session close waits out this connection's tickets — acked
+        # async submits are durable before drain finishes.
+        server = self.server
         try:
-            async with self._write_lock:
-                for frame in frames:
-                    self.writer.write(encode_frame(frame))
-                    await self.writer.drain()
-        except (OSError, ConnectionError):
-            pass  # dead peer: the read loop will notice EOF and exit
+            undrained = await asyncio.get_running_loop().run_in_executor(
+                server._executor,
+                partial(self.session.close, timeout=server._max_request_timeout),
+            )
+        except RuntimeError:  # executor already shut down
+            undrained = self.session.close(timeout=0.0)
+        if undrained:
+            get_registry().counter("net.close.undrained").inc(undrained)
 
 
 # ----------------------------------------------------------------------
@@ -478,9 +569,19 @@ class AsyncServiceClient:
     Many coroutines may issue requests concurrently on one connection;
     a background receive task routes responses to futures by id, so
     completion order is independent of submission order (that is the
-    pipelining the bench sweeps measure).  Defaults to protocol v2 —
-    large query results arrive as bounded chunks reassembled by
-    :class:`ChunkAssembler` — and speaks v1 on request for old servers.
+    pipelining the bench sweeps measure).  Large query results arrive
+    as bounded chunks reassembled by :class:`ChunkAssembler`.
+
+    Every failure is a typed :class:`~repro.errors.ServiceError`
+    subclass: wire errors map by code (``BUSY`` →
+    :class:`ServiceBusyError`, ``TIMEOUT`` →
+    :class:`ServiceTimeoutError`, ...), a deadline miss raises
+    :class:`ServiceTimeoutError` (the connection survives; the late
+    response is discarded by id), a refused/reset/closed transport
+    raises :class:`ServiceConnectionError`, and a connection the server
+    turned away (the connection-limit ``BUSY`` frame) keeps raising the
+    server's own typed error, so ``retries_busy`` callers and the
+    router see a retryable rejection, not a dead client.
 
     Construct with :meth:`connect`::
 
@@ -499,18 +600,17 @@ class AsyncServiceClient:
         writer: asyncio.StreamWriter,
         *,
         request_timeout: float = 30.0,
-        protocol: int = PROTOCOL_VERSION_CHUNKED,
     ) -> None:
-        if protocol not in SUPPORTED_VERSIONS:
-            raise ProtocolError(f"unsupported protocol version {protocol!r}")
         self._reader = reader
         self._writer = writer
         self._request_timeout = request_timeout
-        self._protocol = protocol
         self._write_lock = asyncio.Lock()
         self._pending: dict[int, tuple[asyncio.Future, ChunkAssembler]] = {}
         self._next_id = 0
         self._dead: Optional[ServiceError] = None
+        #: The error record of a server-sent rejection that killed the
+        #: connection (id 0, e.g. the connection-limit BUSY frame).
+        self._rejection: Optional[object] = None
         self._closed = False
         self._receiver: Optional[asyncio.Task] = None
 
@@ -522,7 +622,6 @@ class AsyncServiceClient:
         *,
         connect_timeout: float = 5.0,
         request_timeout: float = 30.0,
-        protocol: int = PROTOCOL_VERSION_CHUNKED,
     ) -> "AsyncServiceClient":
         try:
             reader, writer = await asyncio.wait_for(
@@ -536,12 +635,7 @@ class AsyncServiceClient:
             raise ServiceConnectionError(
                 f"cannot connect to {host}:{port}: {error}"
             ) from error
-        client = cls(
-            reader,
-            writer,
-            request_timeout=request_timeout,
-            protocol=protocol,
-        )
+        client = cls(reader, writer, request_timeout=request_timeout)
         client._receiver = asyncio.create_task(client._receive_loop())
         return client
 
@@ -563,7 +657,12 @@ class AsyncServiceClient:
     def _route(self, frame: dict) -> None:
         response_id = frame.get("id")
         if response_id == 0 and not frame.get("ok", True):
-            raise error_to_exception(frame.get("error", {}))
+            # id 0 marks a server-initiated rejection (the
+            # connection-limit BUSY frame sent before any request was
+            # read): fatal to the connection, and remembered so later
+            # requests raise the same typed error.
+            self._rejection = frame.get("error", {})
+            raise error_to_exception(self._rejection)
         if (
             not isinstance(response_id, int)
             or response_id <= 0
@@ -600,13 +699,15 @@ class AsyncServiceClient:
     ) -> dict:
         if self._closed:
             raise ServiceClosedError("client is closed")
+        if self._rejection is not None:
+            raise error_to_exception(self._rejection)
         if self._dead is not None:
             raise ServiceClosedError(f"client connection is dead: {self._dead}")
         effective = self._request_timeout if timeout is None else timeout
         self._next_id += 1
         request_id = self._next_id
         message = {
-            "v": self._protocol,
+            "v": PROTOCOL_VERSION,
             "op": kind,
             "timeout": effective,
             "id": request_id,
@@ -639,9 +740,10 @@ class AsyncServiceClient:
         return response
 
     # ------------------------------------------------------------------
-    # API (mirrors the blocking ServiceClient)
+    # API (mirrored, blocking, by repro.service.net.blocking.ServiceClient)
     # ------------------------------------------------------------------
     async def ping(self) -> list[str]:
+        """Round-trip; returns the hosted document names."""
         return (await self._request("ping"))["documents"]
 
     async def request(self, kind: str, timeout: Optional[float] = None, **fields) -> dict:
@@ -653,6 +755,10 @@ class AsyncServiceClient:
     async def submit(
         self, op: ServiceOp, *, retries_busy: int = 0, backoff: float = 0.01
     ) -> int:
+        """Enqueue without waiting for durability; returns the number of
+        this connection's operations still in flight.  ``retries_busy``
+        retries a ``BUSY`` rejection with jittered exponential backoff,
+        never retrying past one request-timeout in total."""
         response = await self._retry_busy(
             lambda: self._request("submit", payload=op_to_dict(op)),
             retries_busy,
@@ -669,6 +775,7 @@ class AsyncServiceClient:
         retries_busy: int = 0,
         backoff: float = 0.01,
     ) -> Optional[int]:
+        """Submit and wait until durable + applied; returns the WAL seq."""
         effective = self._request_timeout if timeout is None else timeout
         response = await self._retry_busy(
             lambda: self._request(
@@ -683,20 +790,20 @@ class AsyncServiceClient:
     async def _retry_busy(
         self, attempt, retries: int, backoff: float, deadline: float
     ) -> dict:
-        # Jittered exponential backoff under a total-deadline cap: the
-        # jitter de-synchronises N clients hammering one saturated
-        # shard, and the cap guarantees the retry loop never outlives
-        # the request deadline (unjittered 2**retry growth used to).
-        for retry in range(retries + 1):
+        for retry in itertools.count():
             try:
                 return await attempt()
             except ServiceBusyError:
-                remaining = deadline - time.monotonic()
-                if retry == retries or remaining <= 0.0:
+                delay = busy_retry_delay(
+                    retry,
+                    retries,
+                    backoff,
+                    deadline - time.monotonic(),
+                    random.random(),
+                )
+                if delay is None:
                     raise
-                delay = backoff * (2**retry) * (0.5 + random.random() * 0.5)
-                await asyncio.sleep(min(delay, remaining))
-        raise AssertionError("unreachable")  # pragma: no cover
+                await asyncio.sleep(delay)
 
     async def query(
         self,
@@ -704,6 +811,8 @@ class AsyncServiceClient:
         statement: Optional[str] = None,
         timeout: Optional[float] = None,
     ) -> Any:
+        """The serialised document (no statement) or rendered FLWR
+        results (statement), read under the document's read lock."""
         response = await self._request(
             "query", timeout=timeout, doc=doc, statement=statement
         )
@@ -712,6 +821,8 @@ class AsyncServiceClient:
     async def execute(
         self, doc: str, statement: str, timeout: Optional[float] = None
     ) -> dict:
+        """Run an XQuery statement server-side; update statements return
+        ``{"seq", "delta_ops"}``, reads return ``{"results"}``."""
         response = await self._request(
             "execute", timeout=timeout, doc=doc, statement=statement
         )
@@ -722,6 +833,7 @@ class AsyncServiceClient:
         }
 
     async def flush(self, timeout: Optional[float] = None) -> None:
+        """Barrier: everything this server accepted before now is durable."""
         await self._request("flush", timeout=timeout)
 
     async def checkpoint(self, timeout: Optional[float] = None) -> dict:
@@ -745,8 +857,10 @@ class AsyncServiceClient:
                 await self._receiver
             except (asyncio.CancelledError, Exception):
                 pass
+        # Wake every request still waiting: nobody will route its
+        # response now, and its own timeout is seconds away.
+        self._fail(ServiceClosedError("client is closed"))
         try:
-            self._writer.close()
             await self._writer.wait_closed()
         except Exception:
             pass

@@ -1,44 +1,38 @@
-"""The framing core shared by every speaker of the wire protocol.
+"""The sans-IO framing core shared by every speaker of the wire protocol.
 
-Four parties speak the same frames — the threaded server, the asyncio
-server, the blocking client, and the async client (and, next, the
-shard router, which is why this lives in its own module): a 4-byte
-big-endian unsigned length prefix followed by that many bytes of UTF-8
-JSON.  This module owns everything protocol-shaped and
-transport-agnostic:
+The server, the shard router and the client all speak the same frames:
+a 4-byte big-endian unsigned length prefix followed by that many bytes
+of UTF-8 JSON.  This module owns everything protocol-shaped and touches
+no transport (it imports neither ``socket`` nor ``asyncio``):
 
-* the constants (:data:`MAX_FRAME_BYTES`, :data:`HEADER`, the protocol
-  versions) and the error-code ↔ exception mapping;
+* the constants (:data:`MAX_FRAME_BYTES`, :data:`HEADER`,
+  :data:`PROTOCOL_VERSION`), the request-envelope check
+  (:func:`check_envelope`) and the error-code ↔ exception mapping;
 * byte-level encode/decode (:func:`encode_frame`,
-  :func:`decode_frame_payload`) plus the blocking socket helpers
-  (:func:`send_frame`, :func:`recv_frame`) the original protocol
-  shipped with;
-* :class:`FrameDecoder` — an incremental *sans-IO* decoder: feed it
-  whatever byte slices the transport produced, however fragmented or
-  coalesced, and it yields exactly the frames that were sent.  Both
-  clients receive through it, and the Hypothesis suite drives it with
-  randomly re-chunked streams;
-* chunked responses (protocol v2): :func:`split_response` turns one
-  large response into a sequence of bounded chunk frames, and
-  :class:`ChunkAssembler` reassembles them on the client.
+  :func:`decode_frame_payload`);
+* :class:`FrameDecoder` — an incremental decoder: feed it whatever byte
+  slices a transport produced, however fragmented or coalesced, and it
+  yields exactly the frames that were sent.  The Hypothesis suite drives
+  it with randomly re-chunked streams, and raw-socket test probes read
+  through it;
+* chunked responses: :func:`split_response` turns one large response
+  into a sequence of bounded chunk frames, and :class:`ChunkAssembler`
+  reassembles them on the client;
+* the ``BUSY`` retry schedule (:func:`busy_retry_delay`).
 
-**Versions.**  v1 is the original protocol and is unchanged: one
-request frame, one response frame, at most :data:`MAX_FRAME_BYTES`
-each.  A client that sends ``"v": 2`` additionally declares the
-*chunked-response capability*: the server may answer a ``query`` whose
-payload exceeds its chunk threshold with a sequence of frames
-``{"id": N, "ok": true, "chunk": i, "more": true, ...part...}``
+**One version.**  Every frame carries ``"v": 2``; a request naming any
+other version is answered ``BAD_REQUEST``.  A ``query`` whose payload
+exceeds the server's chunk threshold is answered with a sequence of
+frames ``{"id": N, "ok": true, "chunk": i, "more": true, ...part...}``
 terminated by a ``"more": false`` frame carrying the final part (and
 any scalar result fields).  Every chunk is bounded, so an 8 MiB
 outer-union result streams as ~32 × 256 KiB frames instead of one
-allocation at the cap.  Servers answer in the version the request
-named, so v1 and v2 clients coexist on one server.
+allocation at the cap.
 """
 
 from __future__ import annotations
 
 import json
-import socket
 import struct
 from typing import Iterator, Optional
 
@@ -50,16 +44,11 @@ from repro.errors import (
     ServiceTimeoutError,
 )
 
-#: The baseline protocol (one frame per response).
-PROTOCOL_VERSION = 1
-#: The chunked-response capability: a v2 request permits the server to
-#: stream large query results as bounded chunk frames.
-PROTOCOL_VERSION_CHUNKED = 2
-#: Versions a server accepts (a response echoes its request's version).
-SUPPORTED_VERSIONS = (PROTOCOL_VERSION, PROTOCOL_VERSION_CHUNKED)
+#: The one wire version: every request and response frame carries it.
+PROTOCOL_VERSION = 2
 
 MAX_FRAME_BYTES = 8 * 1024 * 1024
-#: Payload bound for one chunk of a streamed (v2) response.
+#: Payload bound for one chunk of a streamed response.
 DEFAULT_CHUNK_BYTES = 256 * 1024
 HEADER = struct.Struct(">I")
 
@@ -95,11 +84,9 @@ def error_to_exception(record: object) -> ServiceError:
     return cls(message)
 
 
-def error_frame(
-    request_id: int, error: Exception, version: int = PROTOCOL_VERSION
-) -> dict:
+def error_frame(request_id: int, error: Exception) -> dict:
     return {
-        "v": version,
+        "v": PROTOCOL_VERSION,
         "id": request_id,
         "ok": False,
         "error": {
@@ -108,6 +95,42 @@ def error_frame(
             "retryable": isinstance(error, ServiceBusyError),
         },
     }
+
+
+def reply_id(request: dict) -> int:
+    """The id an error reply to ``request`` echoes (0 when it has none
+    usable)."""
+    request_id = request.get("id", 0)
+    return request_id if isinstance(request_id, int) else 0
+
+
+def check_envelope(request: dict) -> None:
+    """Reject a request whose version or id no endpoint can serve."""
+    version = request.get("v")
+    if version != PROTOCOL_VERSION:
+        raise ProtocolError(
+            f"unsupported protocol version {version!r}; "
+            f"only v{PROTOCOL_VERSION} is spoken here"
+        )
+    if not isinstance(request.get("id", 0), int):
+        raise ProtocolError("request id must be an integer")
+
+
+def busy_retry_delay(
+    retry: int, retries: int, backoff: float, remaining: float, jitter: float
+) -> Optional[float]:
+    """How long to sleep before retrying after the ``retry``-th ``BUSY``
+    (counting from 0), or None when the caller must give up.
+
+    Exponential in ``retry``, scaled by ``jitter`` in [0, 1] onto
+    [0.5x, 1x] so N clients hammering one saturated shard
+    de-synchronise, and clamped to ``remaining`` so the retry loop
+    never outlives the request deadline (unjittered, uncapped
+    ``2**retry`` growth used to nap for minutes).
+    """
+    if retry >= retries or remaining <= 0.0:
+        return None
+    return min(backoff * (2**retry) * (0.5 + jitter * 0.5), remaining)
 
 
 # ----------------------------------------------------------------------
@@ -172,51 +195,6 @@ class FrameDecoder:
         return frames
 
 
-# ----------------------------------------------------------------------
-# Blocking socket I/O (threaded server + blocking client)
-# ----------------------------------------------------------------------
-def send_frame(sock: socket.socket, obj: dict) -> None:
-    sock.sendall(encode_frame(obj))
-
-
-def _recv_exact(sock: socket.socket, count: int) -> Optional[bytes]:
-    """Read exactly ``count`` bytes; None on EOF at a frame boundary."""
-    chunks: list[bytes] = []
-    remaining = count
-    while remaining:
-        chunk = sock.recv(remaining)
-        if not chunk:
-            if chunks:
-                raise ProtocolError("connection closed mid-frame")
-            return None
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(chunks)
-
-
-def recv_frame(sock: socket.socket) -> Optional[dict]:
-    """Read one frame; None on clean EOF between frames."""
-    header = _recv_exact(sock, HEADER.size)
-    if header is None:
-        return None
-    (length,) = HEADER.unpack(header)
-    if length > MAX_FRAME_BYTES:
-        raise ProtocolError(f"frame of {length} bytes exceeds {MAX_FRAME_BYTES}")
-    payload = _recv_exact(sock, length)
-    if payload is None:
-        raise ProtocolError("connection closed mid-frame")
-    return decode_frame_payload(payload)
-
-
-def _recv_strict(sock: socket.socket, count: int) -> bytes:
-    """Like :func:`_recv_exact`, but EOF anywhere is a protocol error
-    (used once a frame has started arriving)."""
-    data = _recv_exact(sock, count)
-    if data is None:
-        raise ProtocolError("connection closed mid-frame")
-    return data
-
-
 def parse_address(text: str) -> tuple[str, int]:
     """``HOST:PORT`` → ``(host, port)`` (for ``--listen`` / ``--addr``)."""
     host, separator, port = text.rpartition(":")
@@ -229,7 +207,7 @@ def parse_address(text: str) -> tuple[str, int]:
 
 
 # ----------------------------------------------------------------------
-# Chunked (streaming) responses — protocol v2
+# Chunked (streaming) responses
 # ----------------------------------------------------------------------
 #: The response fields a server may stream.  ``text`` parts are string
 #: slices (concatenated on reassembly); ``results`` parts are list
@@ -272,21 +250,17 @@ def split_response(
 ) -> list[dict]:
     """One response → the frame sequence to send.
 
-    Returns ``[response]`` untouched unless the response is a v2
-    success whose streamable payload (``text`` or ``results``) exceeds
+    Returns ``[response]`` untouched unless the response is a success
+    whose streamable payload (``text`` or ``results``) exceeds
     ``chunk_bytes`` — then a list of bounded chunk frames, each
     carrying a ``chunk`` ordinal and ``more`` flag, the final one also
     carrying every non-streamed field of the original response.
     """
-    if (
-        response.get("v", PROTOCOL_VERSION) < PROTOCOL_VERSION_CHUNKED
-        or not response.get("ok", False)
-        or _payload_size(response) <= chunk_bytes
-    ):
+    if not response.get("ok", False) or _payload_size(response) <= chunk_bytes:
         return [response]
     parts = list(_iter_parts(response, chunk_bytes))
     frames: list[dict] = []
-    base = {"v": response["v"], "id": response.get("id", 0), "ok": True}
+    base = {"v": PROTOCOL_VERSION, "id": response.get("id", 0), "ok": True}
     for index, (field, part) in enumerate(parts):
         last = index == len(parts) - 1
         frame = dict(response) if last else dict(base)

@@ -1,4 +1,4 @@
-"""Request dispatch shared by the threaded and asyncio servers.
+"""Request dispatch: one request frame in, one response frame out.
 
 A :class:`Dispatcher` owns everything about a request that does not
 depend on the transport: version and shape validation, the
@@ -6,10 +6,10 @@ per-request monotonic deadline (clamped to the server's ceiling), the
 per-connection in-flight admission bound, payload decoding through the
 WAL codec, the per-document execute locks, and the handler for each
 request kind.  ``dispatch(session, request)`` is a plain blocking call
-returning the complete response frame — the threaded server calls it
-on the connection thread, the asyncio server calls it on its executor,
-and both send whatever frames :func:`~repro.service.net.core.
-split_response` derives from the result.
+returning the complete response frame —
+:class:`~repro.service.net.aio.AsyncNetServer` calls it on its executor
+and sends whatever frames :func:`~repro.service.net.core.split_response`
+derives from the result.
 """
 
 from __future__ import annotations
@@ -28,8 +28,9 @@ from repro.errors import (
 from repro.obs import get_registry
 from repro.service.net.core import (
     PROTOCOL_VERSION,
-    SUPPORTED_VERSIONS,
+    check_envelope,
     error_frame,
+    reply_id,
 )
 from repro.service.ops import (
     DeltaUpdate,
@@ -72,19 +73,9 @@ class Dispatcher:
     # ------------------------------------------------------------------
     def dispatch(self, session: Session, request: dict) -> dict:
         """One request frame → its complete response frame."""
-        request_id = request.get("id", 0)
-        version = request.get("v")
-        if version not in SUPPORTED_VERSIONS:
-            return error_frame(
-                request_id if isinstance(request_id, int) else 0,
-                ProtocolError(
-                    f"unsupported protocol version {version!r}; this server "
-                    f"speaks v{PROTOCOL_VERSION}-v{max(SUPPORTED_VERSIONS)}"
-                ),
-            )
+        request_id = reply_id(request)
         try:
-            if not isinstance(request_id, int):
-                raise ProtocolError("request id must be an integer")
+            check_envelope(request)
             kind = request.get("op")
             handler = self._HANDLERS.get(kind)
             if handler is None:
@@ -92,12 +83,10 @@ class Dispatcher:
             deadline = self._deadline(request)
             result = handler(self, session, request, deadline)
         except ReproError as error:
-            return error_frame(request_id, error, version)
+            return error_frame(request_id, error)
         except Exception as error:  # never leak a traceback over the wire
-            return error_frame(
-                request_id, ServiceError(f"internal error: {error}"), version
-            )
-        result.update({"v": version, "id": request_id, "ok": True})
+            return error_frame(request_id, ServiceError(f"internal error: {error}"))
+        result.update({"v": PROTOCOL_VERSION, "id": request_id, "ok": True})
         return result
 
     def _deadline(self, request: dict) -> float:

@@ -17,8 +17,11 @@ connection.  Response frames are pumped back verbatim under the client
 connection's write lock; the router parses them only enough to retire
 its pending-id table (which is what lets it synthesise retryable
 ``BUSY`` errors for requests a dying worker will never answer).
-Request ids stay client-owned end to end, so pipelining and v2 chunked
-responses pass straight through.
+Request ids stay client-owned end to end, so pipelining and chunked
+responses pass straight through.  The listener, admission, read loop
+and drain are the same :class:`~repro.service.net.aio.FrameServer` /
+:class:`~repro.service.net.aio.FrameConnection` the single-process
+server runs on; only request handling differs (forward vs dispatch).
 
 **Broadcast requests** fan out on per-shard admin clients: ``stats``
 merges the worker registries through
@@ -43,7 +46,6 @@ per-shard barrier executed on all shards, not a global snapshot point.
 from __future__ import annotations
 
 import asyncio
-import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Optional
@@ -55,14 +57,19 @@ from repro.errors import (
     ServiceError,
 )
 from repro.obs import MetricsRegistry, get_registry
-from repro.service.net.aio import AsyncServiceClient
+from repro.service.net.aio import (
+    AsyncServiceClient,
+    FrameConnection,
+    FrameServer,
+    read_raw_frame,
+)
 from repro.service.net.core import (
     HEADER,
-    MAX_FRAME_BYTES,
-    SUPPORTED_VERSIONS,
+    PROTOCOL_VERSION,
+    check_envelope,
     decode_frame_payload,
-    encode_frame,
     error_frame,
+    reply_id,
 )
 from repro.service.supervise import ShardMap, ShardSupervisor
 
@@ -77,35 +84,6 @@ ROUTED_KINDS = {
 }
 #: Request kinds that fan out to every shard.
 BROADCAST_KINDS = ("stats", "flush", "checkpoint")
-
-
-async def _read_raw_frame(
-    reader: asyncio.StreamReader, *, stall_timeout: Optional[float] = None
-) -> Optional[bytes]:
-    """One frame's raw payload bytes; None on clean EOF between frames.
-
-    The raw-bytes twin of :func:`~repro.service.net.aio.read_frame_async`:
-    the router forwards payloads verbatim, so it must never re-encode.
-    """
-    first = await reader.read(1)
-    if not first:
-        return None
-
-    async def rest() -> bytes:
-        header = first + await reader.readexactly(HEADER.size - 1)
-        (length,) = HEADER.unpack(header)
-        if length > MAX_FRAME_BYTES:
-            raise ProtocolError(f"frame of {length} bytes exceeds {MAX_FRAME_BYTES}")
-        return await reader.readexactly(length)
-
-    try:
-        if stall_timeout is None:
-            return await rest()
-        return await asyncio.wait_for(rest(), stall_timeout)
-    except asyncio.IncompleteReadError:
-        raise ProtocolError("connection closed mid-frame") from None
-    except asyncio.TimeoutError:
-        raise ProtocolError("peer stalled mid-frame") from None
 
 
 def _routed_doc(kind: str, request: dict) -> str:
@@ -135,14 +113,15 @@ class _ShardLink:
         self.admin: Optional[AsyncServiceClient] = None
 
 
-class ShardRouter:
+class ShardRouter(FrameServer):
     """The TCP front end that routes client frames to shard workers.
 
-    Lifecycle mirrors :class:`~repro.service.net.aio.AsyncNetServer`:
-    the event loop runs on a background thread, so ``start`` /
-    ``address`` / ``close`` are synchronous and the CLI and tests drive
-    either server interchangeably.
+    Listener lifecycle, admission and drain are
+    :class:`~repro.service.net.aio.FrameServer`'s; what is added here
+    is the shard side: links, health, admin fan-out.
     """
+
+    _metrics = "router"
 
     def __init__(
         self,
@@ -158,135 +137,41 @@ class ShardRouter:
     ) -> None:
         self.supervisor = supervisor
         self.map = supervisor.map
-        self._host = host
-        self._port = port
-        self._max_connections = max_connections
-        self._max_inflight = max_inflight
-        self._max_request_timeout = max_request_timeout
+        # Restarts block on process join + respawn + port wait; they run
+        # off-loop so a dying shard never stalls the others' traffic.
+        super().__init__(
+            host,
+            port,
+            max_connections=max_connections,
+            max_inflight=max_inflight,
+            max_request_timeout=max_request_timeout,
+            executor=ThreadPoolExecutor(
+                max_workers=max(2, self.map.shards),
+                thread_name_prefix="router-restart",
+            ),
+        )
         self._health_interval = health_interval
         self._own_supervisor = own_supervisor
         self._links = [_ShardLink(k) for k in range(self.map.shards)]
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._thread: Optional[threading.Thread] = None
-        self._server: Optional[asyncio.base_events.Server] = None
-        self._address: Optional[tuple[str, int]] = None
-        self._connections: dict[int, "_RouterConnection"] = {}
-        self._next_connection = 0
         self._tasks: set[asyncio.Task] = set()
         self._health_task: Optional[asyncio.Task] = None
-        self._draining = False
-        self._closed = False
-        self._startup_error: Optional[BaseException] = None
-        # Restarts block on process join + respawn + port wait; they run
-        # off-loop so a dying shard never stalls the others' traffic.
-        self._executor = ThreadPoolExecutor(
-            max_workers=max(2, self.map.shards), thread_name_prefix="router-restart"
-        )
 
-    # ------------------------------------------------------------------
-    # Lifecycle (synchronous API; the loop lives on its own thread)
-    # ------------------------------------------------------------------
-    def start(self) -> "ShardRouter":
-        if self._thread is not None:
-            raise ServiceError("router already started")
-        started = threading.Event()
-        self._thread = threading.Thread(
-            target=self._run_loop, args=(started,), name="shard-router", daemon=True
-        )
-        self._thread.start()
-        started.wait()
-        if self._startup_error is not None:
-            raise ServiceError(
-                f"router failed to start: {self._startup_error}"
-            ) from self._startup_error
-        return self
-
-    def _run_loop(self, started: threading.Event) -> None:
-        loop = asyncio.new_event_loop()
-        asyncio.set_event_loop(loop)
-        self._loop = loop
-        try:
-            loop.run_until_complete(self._open_listener())
-        except BaseException as error:
-            self._startup_error = error
-            started.set()
-            loop.close()
-            return
-        started.set()
-        try:
-            loop.run_forever()
-        finally:
-            loop.run_until_complete(loop.shutdown_asyncgens())
-            loop.close()
+    def _connection(self, conn_id, reader, writer) -> "_RouterConnection":
+        return _RouterConnection(self, conn_id, reader, writer)
 
     async def _open_listener(self) -> None:
-        self._server = await asyncio.start_server(
-            self._handle_connection, self._host, self._port, backlog=1024
-        )
-        self._address = self._server.sockets[0].getsockname()[:2]
+        await super()._open_listener()
         self._health_task = asyncio.get_running_loop().create_task(
             self._health_loop()
         )
 
-    @property
-    def address(self) -> tuple[str, int]:
-        if self._address is None:
-            raise ServiceError("router not started")
-        return self._address
-
-    def __enter__(self) -> "ShardRouter":
-        return self.start()
-
-    def __exit__(self, exc_type, exc_value, tb) -> None:
-        self.close()
-
-    def close(self, timeout: Optional[float] = 30.0) -> int:
-        """Graceful drain: stop accepting, let in-flight forwards
-        finish, flush every shard, then (when owned) stop the worker
-        fleet.  Returns the connections still undrained at the
-        deadline."""
-        if self._closed:
-            return 0
-        self._closed = True
-        undrained = 0
-        if self._loop is not None and self._thread is not None:
-            future = asyncio.run_coroutine_threadsafe(self._drain(timeout), self._loop)
-            try:
-                undrained = future.result(None if timeout is None else timeout + 10.0)
-            except Exception:
-                undrained = len(self._connections)
-            self._loop.call_soon_threadsafe(self._loop.stop)
-            self._thread.join(10.0)
-        self._executor.shutdown(wait=False, cancel_futures=True)
-        if undrained:
-            get_registry().counter("router.close.undrained_connections").inc(undrained)
-        if self._own_supervisor:
-            self.supervisor.stop(30.0 if timeout is None else timeout)
-        return undrained
-
     async def _drain(self, timeout: Optional[float]) -> int:
+        """Drain the client side, then flush every shard."""
         loop = asyncio.get_running_loop()
         deadline = None if timeout is None else loop.time() + timeout
-        self._draining = True
         if self._health_task is not None:
             self._health_task.cancel()
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-        connections = list(self._connections.values())
-        for connection in connections:
-            connection.stopping.set()
-        undrained = 0
-        for connection in connections:
-            remaining = None if deadline is None else max(0.0, deadline - loop.time())
-            try:
-                if remaining is None:
-                    await connection.done.wait()
-                else:
-                    await asyncio.wait_for(connection.done.wait(), remaining)
-            except asyncio.TimeoutError:
-                undrained += 1
-                connection.abort()
+        undrained = await super()._drain(timeout)
         # Broadcast one final flush: every shard makes everything it
         # acknowledged durable before the fleet is stopped.  (Worker
         # drain covers this again; the barrier here is belt-and-braces
@@ -297,50 +182,14 @@ class ShardRouter:
         except Exception:
             pass
         for link in self._links:
-            if link.admin is not None:
-                try:
-                    await link.admin.close()
-                except Exception:
-                    pass
-                link.admin = None
+            await self._drop_admin(link)
         for task in list(self._tasks):
             task.cancel()
         return undrained
 
-    # ------------------------------------------------------------------
-    # Connections
-    # ------------------------------------------------------------------
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        registry = get_registry()
-        if self._draining or len(self._connections) >= self._max_connections:
-            registry.counter("router.rejected").inc()
-            try:
-                writer.write(
-                    encode_frame(
-                        error_frame(
-                            0,
-                            ServiceBusyError(
-                                f"connection limit ({self._max_connections}) reached"
-                            ),
-                        )
-                    )
-                )
-                await writer.drain()
-            except (OSError, ConnectionError):
-                pass
-            writer.close()
-            return
-        self._next_connection += 1
-        connection = _RouterConnection(self, self._next_connection, reader, writer)
-        self._connections[connection.id] = connection
-        registry.gauge("router.connections").inc()
-        try:
-            await connection.serve()
-        finally:
-            self._connections.pop(connection.id, None)
-            registry.gauge("router.connections").dec()
+    def _release(self, timeout: Optional[float]) -> None:
+        if self._own_supervisor:
+            self.supervisor.stop(30.0 if timeout is None else timeout)
 
     # ------------------------------------------------------------------
     # Shard health
@@ -371,12 +220,7 @@ class ShardRouter:
         except asyncio.CancelledError:
             raise
         except Exception:
-            if link.admin is not None:
-                try:
-                    await link.admin.close()
-                except Exception:
-                    pass
-                link.admin = None
+            await self._drop_admin(link)
             self._shard_trouble(link)
 
     def _shard_trouble(self, link: _ShardLink) -> None:
@@ -397,12 +241,7 @@ class ShardRouter:
 
     async def _restart(self, link: _ShardLink) -> None:
         loop = asyncio.get_running_loop()
-        if link.admin is not None:
-            try:
-                await link.admin.close()
-            except Exception:
-                pass
-            link.admin = None
+        await self._drop_admin(link)
         try:
             await loop.run_in_executor(
                 self._executor, self.supervisor.restart, link.index
@@ -432,6 +271,14 @@ class ShardRouter:
             )
         return link.admin
 
+    async def _drop_admin(self, link: _ShardLink) -> None:
+        admin, link.admin = link.admin, None
+        if admin is not None:
+            try:
+                await admin.close()
+            except Exception:
+                pass
+
     async def _fanout(self, kind: str, request: dict) -> dict[int, dict]:
         """Run one broadcast request on every shard; shard index → response.
 
@@ -460,12 +307,7 @@ class ShardRouter:
         responses: dict[int, dict] = {}
         for link, result in zip(up_links, results):
             if isinstance(result, BaseException):
-                if link.admin is not None:
-                    try:
-                        await link.admin.close()
-                    except Exception:
-                        pass
-                    link.admin = None
+                await self._drop_admin(link)
                 self._shard_trouble(link)
                 if not barrier:
                     continue
@@ -537,9 +379,7 @@ class ShardRouter:
 
     def _net_info(self) -> dict:
         return {
-            "connections": len(self._connections),
-            "max_connections": self._max_connections,
-            "max_inflight": self._max_inflight,
+            **super()._net_info(),
             "transport": "router",
             "shards": {
                 "total": self.map.shards,
@@ -550,7 +390,7 @@ class ShardRouter:
 
     def _ping_response(self, request: dict) -> dict:
         return {
-            "v": request.get("v"),
+            "v": PROTOCOL_VERSION,
             "id": request.get("id"),
             "ok": True,
             "pong": True,
@@ -590,8 +430,8 @@ class _Upstream:
         self.generation = link.generation
         self.reader = reader
         self.writer = writer
-        #: request id → (monotonic deadline, protocol version)
-        self.pending: dict[int, tuple[float, int]] = {}
+        #: request id → monotonic deadline
+        self.pending: dict[int, float] = {}
         self.dead = False
         self._pump_task: Optional[asyncio.Task] = None
 
@@ -615,7 +455,7 @@ class _Upstream:
     async def _pump(self) -> None:
         try:
             while True:
-                payload = await _read_raw_frame(self.reader)
+                payload = await read_raw_frame(self.reader)
                 if payload is None:
                     break  # worker closed (restart or drain)
                 frame = decode_frame_payload(payload)
@@ -637,26 +477,21 @@ class _Upstream:
         error = ServiceBusyError(
             f"shard {self.link.index} connection lost; retry"
         )
-        abandoned = list(self.pending.items())
+        abandoned = list(self.pending)
         self.pending.clear()
-        for request_id, (_deadline, version) in abandoned:
-            await self.connection.send_frame(
-                error_frame(
-                    request_id,
-                    error,
-                    version if version in SUPPORTED_VERSIONS else 1,
-                )
-            )
+        await self.connection.send_frames(
+            error_frame(request_id, error) for request_id in abandoned
+        )
         if abandoned:
             get_registry().counter("router.abandoned_inflight").inc(len(abandoned))
-        self.connection.router._shard_trouble(self.link)
+        self.connection.server._shard_trouble(self.link)
 
     def sweep(self, now: float) -> None:
         """Drop pending entries whose deadline long passed (the client
         abandoned them; a response would be discarded by id anyway)."""
         expired = [
             request_id
-            for request_id, (deadline, _version) in self.pending.items()
+            for request_id, deadline in self.pending.items()
             if now > deadline
         ]
         for request_id in expired:
@@ -677,151 +512,74 @@ class _Upstream:
             pass
 
 
-class _RouterConnection:
+class _RouterConnection(FrameConnection):
     """One client connection: route frames, relay responses."""
 
-    def __init__(
-        self,
-        router: ShardRouter,
-        conn_id: int,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-    ) -> None:
-        self.router = router
-        self.id = conn_id
-        self.reader = reader
-        self.writer = writer
-        self.stopping = asyncio.Event()
-        self.done = asyncio.Event()
-        self._write_lock = asyncio.Lock()
+    server: ShardRouter
+
+    def __init__(self, router: ShardRouter, conn_id, reader, writer) -> None:
+        super().__init__(router, conn_id, reader, writer)
         self._upstreams: dict[int, _Upstream] = {}
-        self._broadcasts: set[asyncio.Task] = set()
 
     @property
     def inflight(self) -> int:
+        """Forwarded requests awaiting a shard, plus broadcasts."""
         return sum(
             len(upstream.pending) for upstream in self._upstreams.values()
-        ) + len(self._broadcasts)
+        ) + len(self._tasks)
 
-    def abort(self) -> None:
-        for task in list(self._broadcasts):
-            task.cancel()
-        try:
-            self.writer.close()
-        except Exception:
-            pass
+    def _sweep(self) -> None:
+        now = time.monotonic()
+        for upstream in self._upstreams.values():
+            upstream.sweep(now)
 
-    # ------------------------------------------------------------------
-    async def serve(self) -> None:
-        router = self.router
-        stop_task = asyncio.create_task(self.stopping.wait())
-        try:
-            while True:
-                read_task = asyncio.create_task(
-                    _read_raw_frame(
-                        self.reader, stall_timeout=router._max_request_timeout
-                    )
-                )
-                await asyncio.wait(
-                    {read_task, stop_task}, return_when=asyncio.FIRST_COMPLETED
-                )
-                if not read_task.done():
-                    read_task.cancel()
-                    try:
-                        await read_task
-                    except (asyncio.CancelledError, Exception):
-                        pass
-                    break
-                try:
-                    payload = read_task.result()
-                except (ProtocolError, OSError, ConnectionError):
-                    break  # malformed stream or dead peer: drop it
-                if payload is None:
-                    break  # clean EOF
-                try:
-                    request = decode_frame_payload(payload)
-                except ProtocolError:
-                    break
-                await self._handle(request, payload)
-            await self._settle()
-        finally:
-            stop_task.cancel()
-            for upstream in list(self._upstreams.values()):
-                await upstream.close()
-            self._upstreams.clear()
-            for task in list(self._broadcasts):
-                task.cancel()
-            try:
-                self.writer.close()
-                await self.writer.wait_closed()
-            except Exception:
-                pass
-            self.done.set()
-
-    async def _settle(self) -> None:
+    async def settle(self) -> None:
         """Drain: wait (bounded) for forwarded requests and broadcasts
         still in flight, so their responses reach the client before the
         connection closes."""
         loop = asyncio.get_running_loop()
-        deadline = loop.time() + self.router._max_request_timeout
+        deadline = loop.time() + self.server._max_request_timeout
         while self.inflight and loop.time() < deadline:
-            now = time.monotonic()
-            for upstream in self._upstreams.values():
-                upstream.sweep(now)
+            self._sweep()
             await asyncio.sleep(0.02)
 
+    async def release(self) -> None:
+        for upstream in list(self._upstreams.values()):
+            await upstream.close()
+        self._upstreams.clear()
+
     # ------------------------------------------------------------------
-    async def _handle(self, request: dict, payload: bytes) -> None:
+    async def handle(self, request: dict, payload: bytes) -> None:
+        router = self.server
         registry = get_registry()
         registry.counter("router.requests").inc()
-        version = request.get("v")
-        request_id = request.get("id", 0)
-        safe_id = request_id if isinstance(request_id, int) else 0
-        if version not in SUPPORTED_VERSIONS:
-            await self.send_frame(
-                error_frame(
-                    safe_id,
-                    ProtocolError(
-                        f"unsupported protocol version {version!r}; this router "
-                        f"speaks v{min(SUPPORTED_VERSIONS)}-v{max(SUPPORTED_VERSIONS)}"
-                    ),
-                )
-            )
-            return
+        request_id = reply_id(request)
         try:
-            if not isinstance(request_id, int):
-                raise ProtocolError("request id must be an integer")
+            check_envelope(request)
             kind = request.get("op")
             if kind == "ping":
-                await self.send_frame(self.router._ping_response(request))
+                await self.send_frames([router._ping_response(request)])
                 return
             if kind in BROADCAST_KINDS:
-                task = self.router._spawn_task(self._broadcast(kind, request))
-                self._broadcasts.add(task)
-                task.add_done_callback(self._broadcasts.discard)
+                self.spawn(self._broadcast(kind, request))
                 return
             if kind not in ROUTED_KINDS:
                 raise ProtocolError(f"unknown request kind {kind!r}")
             doc = _routed_doc(kind, request)
-            if self.inflight >= self.router._max_inflight:
-                now = time.monotonic()
-                for upstream in self._upstreams.values():
-                    upstream.sweep(now)
-            if self.inflight >= self.router._max_inflight:
+            if self.inflight >= router._max_inflight:
+                self._sweep()
+            if self.inflight >= router._max_inflight:
                 registry.counter("router.rejected").inc()
                 raise ServiceBusyError(
                     f"connection has {self.inflight} requests in flight "
-                    f"(limit {self.router._max_inflight}); slow down"
+                    f"(limit {router._max_inflight}); slow down"
                 )
-            upstream = await self._upstream(self.router.map.shard_of(doc))
+            upstream = await self._upstream(router.map.shard_of(doc))
             timeout = request.get("timeout")
             if not isinstance(timeout, (int, float)) or timeout <= 0:
-                timeout = self.router._max_request_timeout
-            clamped = min(float(timeout), self.router._max_request_timeout)
-            upstream.pending[request_id] = (
-                time.monotonic() + clamped + 5.0,
-                version,
-            )
+                timeout = router._max_request_timeout
+            clamped = min(float(timeout), router._max_request_timeout)
+            upstream.pending[request_id] = time.monotonic() + clamped + 5.0
             try:
                 await upstream.send(payload)
             except ServiceBusyError:
@@ -831,14 +589,14 @@ class _RouterConnection:
         except ReproError as error:
             if isinstance(error, ServiceBusyError):
                 registry.counter("router.busy").inc()
-            await self.send_frame(error_frame(safe_id, error, version))
+            await self.send_frames([error_frame(request_id, error)])
         except Exception as error:  # never leak a traceback over the wire
-            await self.send_frame(
-                error_frame(safe_id, ServiceError(f"internal error: {error}"), version)
+            await self.send_frames(
+                [error_frame(request_id, ServiceError(f"internal error: {error}"))]
             )
 
     async def _upstream(self, shard: int) -> _Upstream:
-        link = self.router._links[shard]
+        link = self.server._links[shard]
         if not link.up:
             raise ServiceBusyError(f"shard {shard} is restarting; retry")
         upstream = self._upstreams.get(shard)
@@ -852,13 +610,13 @@ class _RouterConnection:
             try:
                 reader, writer = await asyncio.wait_for(
                     asyncio.open_connection(
-                        self.router.supervisor.host,
-                        self.router.supervisor.port(link.index),
+                        self.server.supervisor.host,
+                        self.server.supervisor.port(link.index),
                     ),
                     5.0,
                 )
             except (OSError, ConnectionError, asyncio.TimeoutError, ReproError) as error:
-                self.router._shard_trouble(link)
+                self.server._shard_trouble(link)
                 raise ServiceBusyError(
                     f"shard {shard} unavailable ({error}); retry"
                 ) from None
@@ -868,40 +626,20 @@ class _RouterConnection:
         return upstream
 
     async def _broadcast(self, kind: str, request: dict) -> None:
-        version = request.get("v")
-        request_id = request.get("id", 0)
+        request_id = reply_id(request)
         try:
-            responses = await self.router._fanout(kind, request)
-            merged = self.router._merge_broadcast(kind, responses)
-            merged.update({"v": version, "id": request_id, "ok": True})
-            await self.send_frame(merged)
+            responses = await self.server._fanout(kind, request)
+            merged = self.server._merge_broadcast(kind, responses)
+            merged.update({"v": PROTOCOL_VERSION, "id": request_id, "ok": True})
+            await self.send_frames([merged])
         except asyncio.CancelledError:
             raise
         except ReproError as error:
-            await self.send_frame(error_frame(request_id, error, version))
+            await self.send_frames([error_frame(request_id, error)])
         except Exception as error:
-            await self.send_frame(
-                error_frame(
-                    request_id, ServiceError(f"internal error: {error}"), version
-                )
+            await self.send_frames(
+                [error_frame(request_id, ServiceError(f"internal error: {error}"))]
             )
-
-    # ------------------------------------------------------------------
-    async def send_raw(self, payload: bytes) -> None:
-        try:
-            async with self._write_lock:
-                self.writer.write(HEADER.pack(len(payload)) + payload)
-                await self.writer.drain()
-        except (OSError, ConnectionError):
-            pass  # dead client: the read loop will notice EOF
-
-    async def send_frame(self, frame: dict) -> None:
-        try:
-            async with self._write_lock:
-                self.writer.write(encode_frame(frame))
-                await self.writer.drain()
-        except (OSError, ConnectionError):
-            pass
 
 
 class ShardCluster:

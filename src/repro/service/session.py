@@ -17,6 +17,7 @@ not semantics.
 
 from __future__ import annotations
 
+import threading
 import time
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional, Sequence, Union
 
@@ -38,7 +39,13 @@ class Session:
     ) -> None:
         self._service = service
         self._default_timeout = default_timeout
+        # Unresolved tickets only: resolved ones are dropped as new ones
+        # arrive, so a long-lived connection retains at most its
+        # in-flight count.  Pipelined dispatches of one connection share
+        # the session, hence the lock.
         self._tickets: list[Ticket] = []
+        self._lock = threading.Lock()
+        self._failed = 0  # dropped tickets that resolved with an error
         self._closed = False
         get_registry().gauge("service.sessions.active").inc()
 
@@ -57,7 +64,18 @@ class Session:
         if not isinstance(operation, (DeltaUpdate, SubtreeDelete, SubtreeCopy)):
             operation = DeltaUpdate(doc, tuple(operation))
         ticket = self._service.submit(operation, timeout=self._effective(timeout))
-        self._tickets.append(ticket)
+        with self._lock:
+            # Prune and append under one lock: a concurrent append lost
+            # to a racing prune would drop an unresolved ticket, and
+            # close() would no longer wait for it to become durable.
+            kept = []
+            for held in self._tickets:
+                if not held.done:
+                    kept.append(held)
+                elif held.failed:
+                    self._failed += 1
+            kept.append(ticket)
+            self._tickets = kept
         return ticket
 
     def submit_wait(
@@ -123,7 +141,8 @@ class Session:
     @property
     def pending(self) -> int:
         """Tickets issued by this session that have not resolved yet."""
-        return sum(1 for ticket in self._tickets if not ticket.done)
+        with self._lock:
+            return sum(1 for ticket in self._tickets if not ticket.done)
 
     def close(self, timeout: Optional[float] = None) -> int:
         """Wait for this session's outstanding tickets, then detach.
@@ -148,8 +167,11 @@ class Session:
             if deadline_timeout is None
             else time.monotonic() + deadline_timeout
         )
-        undrained = failed = 0
-        for ticket in self._tickets:
+        with self._lock:
+            tickets, self._tickets = self._tickets, []
+            failed = self._failed
+        undrained = 0
+        for ticket in tickets:
             remaining = (
                 None if deadline is None else max(0.0, deadline - time.monotonic())
             )
@@ -163,7 +185,6 @@ class Session:
             registry.counter("session.close.undrained").inc(undrained)
         if failed:
             registry.counter("session.close.failed").inc(failed)
-        self._tickets.clear()
         return undrained
 
     def __enter__(self) -> "Session":

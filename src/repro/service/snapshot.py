@@ -7,14 +7,14 @@ length.  The store keeps one directory per service::
     <dir>/MANIFEST.json          the checkpoint's commit record
     <dir>/<slug>.<seq>.snap      one state file per snapshotted document
 
-Manifest **v2** commits a *per-document covered-seq vector*: each entry
+The manifest commits a *per-document covered-seq vector*: each entry
 records the last WAL sequence number its state file reflects, and the
 manifest's top-level ``wal_seq`` is the **minimum** covered seq across
 documents — the retirement floor.  Recovery replays, per document, only
 records past that document's own covered seq, so a fuzzy checkpoint can
 capture documents one at a time (at different log positions) while
-commits continue.  v1 manifests (a single global ``wal_seq``) still
-load: every entry's covered seq defaults to the manifest's ``wal_seq``.
+commits continue.  A manifest of any other version (v1 carried a single
+global ``wal_seq``) is refused with :class:`CheckpointError`.
 
 Incremental checkpoints pass ``carry``: entries from the previous
 manifest whose documents are unchanged are re-referenced (same file,
@@ -64,9 +64,6 @@ from repro.service.faults import Filesystem
 
 MANIFEST_NAME = "MANIFEST.json"
 MANIFEST_VERSION = 2
-#: Versions ``load_manifest`` understands.  v1 carried one global
-#: ``wal_seq``; its entries load with ``covered_seq`` = that value.
-READABLE_VERSIONS = (1, 2)
 
 
 def _slug(doc: str) -> str:
@@ -219,9 +216,10 @@ class SnapshotStore:
             with open(path, "rb") as handle:
                 payload = json.loads(handle.read().decode("ascii"))
             version = payload["version"]
-            if version not in READABLE_VERSIONS:
+            if version != MANIFEST_VERSION:
                 raise CheckpointError(
-                    f"unsupported checkpoint manifest version {version!r}"
+                    f"unsupported checkpoint manifest version {version!r} "
+                    f"(only version {MANIFEST_VERSION} is read)"
                 )
             wal_seq = int(payload["wal_seq"])
             documents = {
@@ -229,11 +227,7 @@ class SnapshotStore:
                     file=str(entry["file"]),
                     sha256=str(entry["sha256"]),
                     size=int(entry["size"]),
-                    # v1 predates per-document vectors: its quiesced
-                    # protocol guaranteed every document at wal_seq.
-                    covered_seq=(
-                        int(entry["covered_seq"]) if version >= 2 else wal_seq
-                    ),
+                    covered_seq=int(entry["covered_seq"]),
                 )
                 for doc, entry in payload["documents"].items()
             }

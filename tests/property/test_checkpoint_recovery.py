@@ -4,19 +4,16 @@ A random interleaving of acknowledged writes (across two documents) and
 checkpoints — incremental, full, or none at all — followed by recovery
 in a fresh process must reproduce state byte-identical to a synchronous
 reference that applied the same operations directly, with no service,
-log, or snapshot in between.  The manifest variants cover:
+log, or snapshot in between.  The checkpoint variants cover:
 
-* **v2 incremental** — some documents carried forward from earlier
+* **incremental** — some documents carried forward from earlier
   checkpoints, per-document covered seqs;
-* **v2 full** — every document re-captured;
-* **v1** — the previous quiesced protocol's manifest (one global
-  ``wal_seq``), simulated by downgrading the written manifest.  The
-  downgrade is sound here because the workload is sequential: explicit
-  checkpoints flush first, so every document is covered at the same
-  position and the per-document vector is uniform.
+* **full** — every document re-captured.
+
+(A version-1 manifest is refused, not recovered: see
+``tests/service/test_snapshot.py`` and ``test_checkpoint.py``.)
 """
 
-import json
 import os
 import shutil
 import tempfile
@@ -25,7 +22,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.service import DeltaUpdate, ServiceConfig, UpdateService
-from repro.service.snapshot import MANIFEST_NAME
 from repro.updates.delta import InsertNode, apply_delta
 from repro.xmlmodel.parser import XmlParser
 from repro.xmlmodel.serializer import serialize
@@ -58,26 +54,13 @@ def make_service(wal_path):
     return service
 
 
-def downgrade_manifest_to_v1(checkpoint_dir):
-    path = os.path.join(checkpoint_dir, MANIFEST_NAME)
-    if not os.path.exists(path):
-        return
-    with open(path) as handle:
-        payload = json.load(handle)
-    payload["version"] = 1
-    for entry in payload["documents"].values():
-        del entry["covered_seq"]
-    with open(path, "w") as handle:
-        json.dump(payload, handle)
-
-
 @settings(
     max_examples=25,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
-@given(plan=steps, as_v1=st.booleans())
-def test_recovery_matches_the_synchronous_reference(plan, as_v1):
+@given(plan=steps)
+def test_recovery_matches_the_synchronous_reference(plan):
     workdir = tempfile.mkdtemp(prefix="ckpt-prop-")
     try:
         wal_path = os.path.join(workdir, "doc.wal")
@@ -96,8 +79,6 @@ def test_recovery_matches_the_synchronous_reference(plan, as_v1):
                     service.checkpoint(timeout=30, full=arg)
         finally:
             service.close()
-        if as_v1:
-            downgrade_manifest_to_v1(wal_path + ".ckpt")
 
         restarted = make_service(wal_path)
         restarted.recover()

@@ -9,7 +9,7 @@ coalesced across frame boundaries, or split inside a length prefix.
 partial read "from the top" desynchronised the stream and every
 subsequent frame decoded as garbage.)
 
-Also here: the chunked-response (protocol v2) codec —
+Also here: the chunked-response codec —
 ``split_response`` → ``ChunkAssembler`` is the identity on any
 response, at any chunk size.
 """
@@ -68,7 +68,7 @@ class TestFrameDecoder:
         assert not decoder.mid_frame
 
     def test_byte_at_a_time(self):
-        frames = [{"v": 1, "id": 1, "op": "ping"}, {"v": 2, "ok": True}]
+        frames = [{"v": 2, "id": 1, "op": "ping"}, {"v": 2, "ok": True}]
         stream = b"".join(encode_frame(frame) for frame in frames)
         decoder = FrameDecoder()
         decoded = []
@@ -142,9 +142,9 @@ class TestChunkCodecRoundTrip:
         with pytest.raises(ProtocolError):
             assembler.feed(frames[2])  # skipped frames[1]
 
-    def test_v1_and_error_responses_pass_through_untouched(self):
-        huge = {"v": 1, "id": 2, "ok": True, "text": "t" * 4096}
-        assert split_response(dict(huge), 16) == [huge]
+    def test_small_and_error_responses_pass_through_untouched(self):
+        small = {"v": 2, "id": 2, "ok": True, "text": "t" * 16}
+        assert split_response(dict(small), 16) == [small]
         failed = {"v": 2, "id": 2, "ok": False, "error": {"code": "ERROR"}}
         assert split_response(dict(failed), 16) == [failed]
-        assert ChunkAssembler().feed(dict(huge)) == huge
+        assert ChunkAssembler().feed(dict(small)) == small

@@ -6,6 +6,7 @@ import threading
 
 import pytest
 
+from repro.errors import CheckpointError
 from repro.service import (
     DeltaUpdate,
     ServiceConfig,
@@ -391,10 +392,11 @@ class TestFuzzyCheckpoint:
         assert manifest.documents[DOC_B].covered_seq == report.wal_seq
         service.close()
 
-    def test_v1_manifest_recovers_end_to_end(self, tmp_path):
+    def test_v1_manifest_stops_recovery(self, tmp_path):
         """A checkpoint directory written by the old quiesced protocol
-        (version-1 manifest, one global wal_seq) recovers, and the next
-        checkpoint rewrites it as v2."""
+        (version-1 manifest, one global wal_seq) is refused: recovery
+        raises instead of replaying the retired-segment tail over the
+        base document."""
         import json
 
         from repro.service.snapshot import MANIFEST_NAME
@@ -405,9 +407,6 @@ class TestFuzzyCheckpoint:
         for index in range(4):
             service.submit_wait(DeltaUpdate(DOC, (entry_op(index),)))
         service.checkpoint()
-        for index in range(4, 6):
-            service.submit_wait(DeltaUpdate(DOC, (entry_op(index),)))
-        expected = service.query(DOC)
         service.close()
 
         manifest_path = os.path.join(wal_path + ".ckpt", MANIFEST_NAME)
@@ -420,16 +419,11 @@ class TestFuzzyCheckpoint:
             json.dump(payload, handle)
 
         restarted = make_service(wal_path)
-        recovery = restarted.recover()
-        assert recovery.snapshot_docs == 1
-        assert recovery.applied == 2  # only the post-checkpoint tail
-        restarted.start()
-        assert restarted.query(DOC) == expected
-        report = restarted.checkpoint()
-        assert report.documents == 1
-        with open(manifest_path) as handle:
-            assert json.load(handle)["version"] == 2
-        restarted.close()
+        try:
+            with pytest.raises(CheckpointError, match="version 1"):
+                restarted.recover()
+        finally:
+            restarted.close()
 
 
 class TestSegmentRotationInService:

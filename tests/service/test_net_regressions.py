@@ -1,50 +1,57 @@
 """Regression tests for the framing/client bug sweep.
 
-Each class pins one bug that failed before its fix:
+Each class pins one bug that failed before its fix (found on the
+since-deleted threaded server and elected-receiver client; the
+scenarios now run against ``AsyncNetServer`` and the ``ServiceClient``
+facade, which must keep the same guarantees):
 
-* **Slow readers lost large responses mid-frame.**  The threaded
-  server used to send responses while the socket still carried the
-  0.2 s idle-poll timeout; ``sendall`` of a multi-megabyte frame to a
-  reader with a full receive window timed out halfway and the
-  connection died with the reply half-written (the client saw
-  ``ProtocolError: connection closed mid-frame``).  Writes now get the
-  full request-timeout grace.
+* **Slow readers lost large responses mid-frame.**  A multi-megabyte
+  response to a reader with a full receive window must not be cut off
+  by any short idle timeout: the write gets the time the peer needs
+  (the client used to see ``ProtocolError: connection closed
+  mid-frame``).
 * **A peer stalled mid-frame desynchronised the stream.**  A request
   frame that starts arriving and then stalls must be dropped as a
   protocol error (the connection closed), never retried as if the
   socket were idle — and the stall must not take the server down for
   other connections.
 * **A shared client serialised the whole round trip under one lock.**
-  ``ServiceClient._request`` held the client mutex from send to
-  receive, so a slow ``query`` on one thread blocked a concurrent
-  ``submit_wait`` on another for its full duration.  Sends are now
-  serialised alone; response waits are id-matched and concurrent.
-* **``close()`` relied on daemon threads dying with the interpreter.**
-  Drain now joins every serving thread against the deadline and
-  reports the stragglers — return value and
+  A slow ``query`` on one thread must not block a concurrent
+  ``submit_wait`` on another: sends are serialised alone; response
+  waits are id-matched and concurrent.
+* **``close()`` reported nothing about connections it gave up on.**
+  Drain waits for every connection against the deadline and reports
+  the stragglers — return value and
   ``net.close.undrained_connections`` counter — mirroring
   ``batcher.close.undrained``.
+* **Closing a client stranded its in-flight requests.**  ``close()``
+  cancelled the receiver but never failed the pending futures, so a
+  caller blocked in ``query(timeout=3)`` hung 5 s and got a misleading
+  timeout.  Every pending request now fails at once with
+  ``ServiceClosedError``.
 """
 
+import asyncio
 import socket
 import threading
 import time
 
 import pytest
 
-from repro.errors import ServiceTimeoutError
+from repro.errors import ServiceClosedError, ServiceTimeoutError
 from repro.obs import get_registry
 from repro.service import (
     AsyncNetServer,
+    AsyncServiceClient,
     DeltaUpdate,
-    NetServer,
     ServiceClient,
     ServiceConfig,
     UpdateService,
 )
-from repro.service.net import PROTOCOL_VERSION, recv_frame, send_frame
+from repro.service.net import PROTOCOL_VERSION, ChunkAssembler
 from repro.updates.delta import InsertNode
 from repro.xmlmodel.parser import XmlParser
+from tests.service.wire import FrameSocket
 
 DOC = "doc.xml"
 JOIN_TIMEOUT = 30
@@ -68,13 +75,29 @@ def make_service(**overrides):
     return service.start()
 
 
+def gate_queries(service):
+    """Make every ``service.query`` block until the returned gate opens;
+    the first returned event fires once a query is blocked."""
+    started, gate = threading.Event(), threading.Event()
+    original_query = service.query
+
+    def gated_query(doc, fn=None, timeout=None):
+        started.set()
+        gate.wait(JOIN_TIMEOUT)
+        return original_query(doc, fn, timeout=timeout)
+
+    service.query = gated_query
+    return started, gate
+
+
 class TestSlowReaderSurvivesLargeResponse:
     def test_large_response_to_sleeping_reader_arrives_intact(self):
-        """Failing before: a ~4 MiB response to a client with a tiny
-        receive buffer that does not read for a couple of seconds died
-        mid-``sendall`` under the idle-poll timeout."""
+        """A ~4 MiB response to a client with a tiny receive buffer that
+        does not read for a couple of seconds arrives whole.  The probe
+        speaks raw frames, so the response comes back as the chunk
+        sequence any large result is streamed as."""
         service = make_service()
-        server = NetServer(service, own_service=True).start()
+        server = AsyncNetServer(service, own_service=True).start()
         try:
             with ServiceClient(*server.address, request_timeout=60.0) as seed:
                 seed.submit_wait(
@@ -88,20 +111,23 @@ class TestSlowReaderSurvivesLargeResponse:
             sock.connect(server.address)
             sock.settimeout(JOIN_TIMEOUT)
             try:
-                send_frame(
-                    sock,
+                probe = FrameSocket(sock)
+                probe.send(
                     {
                         "v": PROTOCOL_VERSION,
                         "id": 1,
                         "op": "query",
                         "doc": DOC,
                         "timeout": JOIN_TIMEOUT,
-                    },
+                    }
                 )
-                # Sleep well past the 0.2 s poll interval the old code
-                # left armed on the socket during the response write.
+                # Sleep so the server's write genuinely blocks on the
+                # full receive window before anything is read.
                 time.sleep(2.0)
-                response = recv_frame(sock)
+                assembler = ChunkAssembler()
+                response = None
+                while response is None:
+                    response = assembler.feed(probe.recv())
             finally:
                 sock.close()
             assert response["ok"] is True
@@ -124,19 +150,7 @@ class TestMidFrameStall:
         finally:
             wedged.close()
 
-    def test_threaded_server_drops_stalled_peer_and_keeps_serving(self):
-        service = make_service()
-        server = NetServer(
-            service, own_service=True, max_request_timeout=0.5
-        ).start()
-        try:
-            assert self._stall_and_probe(server.address) == b""
-            with ServiceClient(*server.address) as healthy:
-                assert healthy.ping() == [DOC]
-        finally:
-            server.close()
-
-    def test_async_server_drops_stalled_peer_and_keeps_serving(self):
+    def test_server_drops_stalled_peer_and_keeps_serving(self):
         service = make_service()
         server = AsyncNetServer(
             service, own_service=True, max_request_timeout=0.5
@@ -151,22 +165,13 @@ class TestMidFrameStall:
 
 class TestSharedClientConcurrency:
     def test_slow_query_does_not_block_concurrent_submit(self):
-        """Failing before: with the round trip under ``self._mutex``, the
-        submit below could not even *send* until the gated query's full
-        round trip finished, so it timed out.  (The asyncio server
-        pipelines requests on one connection, so the only serialisation
-        left is the client's own.)"""
+        """With one lock around the whole round trip, the submit below
+        could not even *send* until the gated query's full round trip
+        finished, so it timed out.  (The server pipelines requests on
+        one connection, so the only serialisation left would be the
+        client's own.)"""
         service = make_service()
-        query_started = threading.Event()
-        gate = threading.Event()
-        original_query = service.query
-
-        def gated_query(doc, fn=None, timeout=None):
-            query_started.set()
-            assert gate.wait(JOIN_TIMEOUT)
-            return original_query(doc, fn, timeout=timeout)
-
-        service.query = gated_query
+        query_started, gate = gate_queries(service)
         server = AsyncNetServer(service, own_service=True).start()
         client = ServiceClient(*server.address)
         outcome = {}
@@ -202,16 +207,7 @@ class TestSharedClientConcurrency:
         connection: the late response is discarded by id and the next
         request succeeds."""
         service = make_service()
-        query_started = threading.Event()
-        gate = threading.Event()
-        original_query = service.query
-
-        def gated_query(doc, fn=None, timeout=None):
-            query_started.set()
-            gate.wait(JOIN_TIMEOUT)
-            return original_query(doc, fn, timeout=timeout)
-
-        service.query = gated_query
+        query_started, gate = gate_queries(service)
         server = AsyncNetServer(service, own_service=True).start()
         client = ServiceClient(*server.address)
         try:
@@ -229,25 +225,15 @@ class TestSharedClientConcurrency:
 
 class TestCloseReportsUndrained:
     def test_wedged_connection_is_counted_and_returned(self):
-        """Failing before: ``close()`` joined nothing and reported
-        nothing — a handler wedged in dispatch just died with the
-        interpreter.  Now the drain deadline passes, the straggler is
-        cut loose, counted, and returned."""
+        """A handler wedged in dispatch must not make ``close()`` hang
+        or lie: the drain deadline passes, the straggler is cut loose,
+        counted, and returned."""
         service = make_service()
-        query_started = threading.Event()
-        gate = threading.Event()
-        original_query = service.query
-
-        def gated_query(doc, fn=None, timeout=None):
-            query_started.set()
-            gate.wait(JOIN_TIMEOUT)
-            return original_query(doc, fn, timeout=timeout)
-
-        service.query = gated_query
+        query_started, gate = gate_queries(service)
         # own_service=False: the gated handler still holds a query-pool
         # thread, and service.close() would block on it until the gate
         # opens — the service is closed manually below.
-        server = NetServer(service, own_service=False).start()
+        server = AsyncNetServer(service, own_service=False).start()
         client = ServiceClient(*server.address)
         counter = get_registry().counter("net.close.undrained_connections")
         before = counter.value
@@ -260,30 +246,83 @@ class TestCloseReportsUndrained:
         doomed.start()
         try:
             assert query_started.wait(JOIN_TIMEOUT)
+            started = time.monotonic()
             undrained = server.close(timeout=0.5)
             assert undrained == 1
             assert counter.value == before + 1
+            assert time.monotonic() - started < JOIN_TIMEOUT / 2
         finally:
             gate.set()
             doomed.join(JOIN_TIMEOUT)
             client.close()
-            # Wait out the cut-loose serving thread before closing the
-            # service under it.
-            deadline = time.monotonic() + JOIN_TIMEOUT
-            while server._connections and time.monotonic() < deadline:
-                time.sleep(0.01)
             service.close()
+        assert not doomed.is_alive()
 
     def test_clean_close_reports_zero(self):
-        service = make_service()
-        server = NetServer(service, own_service=True).start()
-        with ServiceClient(*server.address) as client:
-            client.ping()
-        assert server.close() == 0
-
-    def test_async_clean_close_reports_zero(self):
         service = make_service()
         server = AsyncNetServer(service, own_service=True).start()
         with ServiceClient(*server.address) as client:
             client.ping()
         assert server.close() == 0
+
+
+class TestCloseWakesInFlightRequests:
+    """Failing before: ``AsyncServiceClient.close()`` left pending
+    futures unresolved, so a request in flight when another task (or,
+    through the facade, another thread) closed the client waited out
+    ``timeout + 2`` seconds and raised ``ServiceTimeoutError``."""
+
+    REQUEST_TIMEOUT = 3.0
+
+    @pytest.fixture
+    def gated(self):
+        service = make_service()
+        query_started, gate = gate_queries(service)
+        server = AsyncNetServer(service, own_service=True).start()
+        try:
+            yield server, query_started
+        finally:
+            gate.set()
+            server.close()
+
+    def test_async_client_close_fails_pending_at_once(self, gated):
+        server, query_started = gated
+
+        async def scenario():
+            client = await AsyncServiceClient.connect(*server.address)
+            blocked = asyncio.ensure_future(
+                client.query(DOC, timeout=self.REQUEST_TIMEOUT)
+            )
+            while not query_started.is_set():
+                await asyncio.sleep(0.01)
+            started = time.monotonic()
+            await client.close()
+            with pytest.raises(ServiceClosedError):
+                await blocked
+            return time.monotonic() - started
+
+        assert asyncio.run(scenario()) < self.REQUEST_TIMEOUT / 2
+
+    def test_facade_close_wakes_a_blocked_thread(self, gated):
+        server, query_started = gated
+        client = ServiceClient(*server.address)
+        outcome = {}
+
+        def blocked_query():
+            try:
+                client.query(DOC, timeout=self.REQUEST_TIMEOUT)
+            except Exception as error:
+                outcome["error"] = error
+            outcome["at"] = time.monotonic()
+
+        blocked = threading.Thread(target=blocked_query)
+        blocked.start()
+        assert query_started.wait(JOIN_TIMEOUT)
+        started = time.monotonic()
+        client.close()
+        blocked.join(JOIN_TIMEOUT)
+        assert not blocked.is_alive()
+        assert isinstance(outcome["error"], ServiceClosedError)
+        assert outcome["at"] - started < self.REQUEST_TIMEOUT / 2
+        with pytest.raises(ServiceClosedError):
+            client.ping()

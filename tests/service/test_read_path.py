@@ -9,7 +9,7 @@ import pytest
 from repro.bench.experiments import build_fixed_store
 from repro.obs import get_registry
 from repro.service import (
-    NetServer,
+    AsyncNetServer,
     ServiceClient,
     ServiceConfig,
     SubtreeDelete,
@@ -94,7 +94,7 @@ class TestStatsSurfaces:
 
     def test_net_stats_request_carries_the_read_path(self, master):
         service = make_service(master)
-        server = NetServer(service, own_service=True).start()
+        server = AsyncNetServer(service, own_service=True).start()
         client = ServiceClient(*server.address)
         try:
             client.query(DOC, READ)

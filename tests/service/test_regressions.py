@@ -7,6 +7,9 @@ the network front end:
 * ``Session.close`` reports undrained and failed tickets through the
   metrics registry and its return value instead of swallowing every
   exception;
+* ``Session`` drops resolved tickets as new ones arrive (it used to
+  retain every ticket until ``close()`` and scan them all on each
+  ``pending``), without losing an unresolved one or a failure count;
 * a failed (auto-)checkpoint records *why* in
   ``UpdateService.checkpoint_last_error`` / ``stats()`` instead of only
   bumping a counter;
@@ -17,6 +20,7 @@ the network front end:
   timeout again to each internal stage.
 """
 
+import sys
 import threading
 import time
 
@@ -120,6 +124,97 @@ class TestSessionCloseAccounting:
         session.submit_wait(DOC, entry_op(0), timeout=JOIN_TIMEOUT)
         assert session.close(timeout=JOIN_TIMEOUT) == 0
         service.close()
+
+
+class TestSessionTicketsStayBounded:
+    def test_retained_tickets_track_inflight_not_history(self):
+        """Failing before: 5 000 submits on one session retained 5 000
+        tickets, and every ``pending`` scanned all of them."""
+        service = make_service(batch_size=64)
+        session = Session(service)
+        window = 32
+        try:
+            high_water = 0
+            tickets = []
+            for index in range(5000):
+                tickets.append(session.submit(DOC, entry_op(index)))
+                if len(tickets) == window:  # a client with 32 in flight
+                    tickets.pop(0).wait(JOIN_TIMEOUT)
+                high_water = max(high_water, len(session._tickets))
+            assert high_water <= window + 1
+            assert session.pending <= window
+            # Drain semantics unchanged: close still waits out the rest.
+            assert session.close(timeout=JOIN_TIMEOUT) == 0
+            assert all(ticket.done for ticket in tickets)
+            assert service.query(DOC).count("<e ") == 5000
+        finally:
+            service.close()
+
+    def test_pruned_failures_are_still_counted_at_close(self):
+        service = make_service(batch_size=1, coalesce_wait=0.0)
+        host = service.host(DOC)
+        original_apply = host.apply
+
+        def explode(op):
+            raise ValueError("apply rejected this operation")
+
+        registry = get_registry()
+        before = registry.counter("session.close.failed").value
+        session = Session(service)
+        try:
+            host.apply = explode
+            for index in range(3):
+                with pytest.raises(ValueError):
+                    session.submit(DOC, entry_op(index)).wait(JOIN_TIMEOUT)
+            host.apply = original_apply
+            # These appends prune the three failed tickets...
+            session.submit_wait(DOC, entry_op(3), timeout=JOIN_TIMEOUT)
+            session.submit_wait(DOC, entry_op(4), timeout=JOIN_TIMEOUT)
+            assert len(session._tickets) == 1
+            # ...whose failures close still reports.
+            assert session.close(timeout=JOIN_TIMEOUT) == 0
+            assert registry.counter("session.close.failed").value == before + 3
+        finally:
+            service.close(drain=False)
+
+    def test_concurrent_submitters_never_lose_an_unresolved_ticket(self):
+        """Pipelined dispatches share one session: prune and append race
+        from many threads, and close() must still wait for every ticket
+        that had not resolved (that wait is drain durability)."""
+        service = make_service(batch_size=8)
+        session = Session(service)
+        threads, per_thread = 8, 250
+        issued = [[] for _ in range(threads)]
+
+        def submitter(slot):
+            for index in range(per_thread):
+                issued[slot].append(
+                    session.submit(DOC, entry_op(slot * per_thread + index))
+                )
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            workers = [
+                threading.Thread(target=submitter, args=(slot,))
+                for slot in range(threads)
+            ]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(JOIN_TIMEOUT)
+            assert not any(worker.is_alive() for worker in workers)
+            with session._lock:
+                retained = set(map(id, session._tickets))
+            unresolved = [
+                ticket for slot in issued for ticket in slot if not ticket.done
+            ]
+            assert all(id(ticket) in retained for ticket in unresolved)
+            assert session.close(timeout=JOIN_TIMEOUT) == 0
+            assert all(ticket.done for slot in issued for ticket in slot)
+        finally:
+            sys.setswitchinterval(interval)
+            service.close()
 
 
 class TestCheckpointLastError:

@@ -16,10 +16,10 @@ import pytest
 
 from repro.errors import ServiceBusyError
 from repro.service import AsyncServiceClient, ServiceClient
-from repro.service.net.core import error_frame, recv_frame, send_frame
-from repro.service.net.threaded import ServiceClient as ThreadedClient
+from repro.service.net.core import busy_retry_delay, error_frame
 from repro.service.ops import DeltaUpdate
 from repro.updates.delta import InsertNode
+from tests.service.wire import FrameSocket
 
 JOIN_TIMEOUT = 30
 
@@ -40,20 +40,16 @@ def busy_server():
 
     def serve_one(conn):
         with conn:
+            probe = FrameSocket(conn)
             while not stop.is_set():
                 try:
-                    request = recv_frame(conn)
+                    request = probe.recv()
                 except Exception:
                     return
                 if request is None:
                     return
-                send_frame(
-                    conn,
-                    error_frame(
-                        request.get("id", 0),
-                        ServiceBusyError("saturated"),
-                        version=request.get("v", 1),
-                    ),
+                probe.send(
+                    error_frame(request.get("id", 0), ServiceBusyError("saturated"))
                 )
 
     def accept_loop():
@@ -78,7 +74,7 @@ def busy_server():
         acceptor.join(JOIN_TIMEOUT)
 
 
-def test_threaded_retries_never_outlive_the_deadline(busy_server):
+def test_facade_retries_never_outlive_the_deadline(busy_server):
     host, port = busy_server
     with ServiceClient(host, port) as client:
         start = time.monotonic()
@@ -119,69 +115,29 @@ def test_zero_retries_surfaces_busy_immediately(busy_server):
 
 
 # ----------------------------------------------------------------------
-# The backoff schedule itself (no sockets: drive _retry_busy directly)
+# The backoff schedule itself: one pure function, no sockets, no clock
 # ----------------------------------------------------------------------
-def always_busy():
-    raise ServiceBusyError("saturated")
-
-
-def test_backoff_is_exponential_and_jittered(monkeypatch):
-    sleeps = []
-    rolls = iter([0.0, 1.0, 0.5, 0.0, 1.0, 0.5, 0.0, 1.0])
-    monkeypatch.setattr("repro.service.net.threaded.time.sleep", sleeps.append)
-    monkeypatch.setattr(
-        "repro.service.net.threaded.random.random", lambda: next(rolls)
-    )
-    with pytest.raises(ServiceBusyError):
-        ThreadedClient._retry_busy(
-            None, always_busy, 3, 0.1, time.monotonic() + 60.0
-        )
-    assert len(sleeps) == 3  # 4 attempts, no sleep after the last
-    # delay = backoff * 2**retry * (0.5 + roll/2): the jitter factor
+def test_delay_is_exponential_jittered_and_deadline_capped():
+    # delay = backoff * 2**retry * (0.5 + jitter/2): the jitter factor
     # spans [0.5x, 1x] of the deterministic schedule.
-    assert sleeps[0] == pytest.approx(0.1 * 1 * 0.5)
-    assert sleeps[1] == pytest.approx(0.1 * 2 * 1.0)
-    assert sleeps[2] == pytest.approx(0.1 * 4 * 0.75)
-
-
-def test_backoff_sleep_is_clamped_to_remaining_time(monkeypatch):
-    real_sleep = time.sleep
-    sleeps = []
-
-    def recording_sleep(delay):
-        sleeps.append(delay)
-        real_sleep(delay)
-
-    monkeypatch.setattr("repro.service.net.threaded.time.sleep", recording_sleep)
-    monkeypatch.setattr("repro.service.net.threaded.random.random", lambda: 1.0)
-    deadline = time.monotonic() + 0.25
-    with pytest.raises(ServiceBusyError):
-        # backoff=10 wants a 10s first nap; remaining is ~0.25s.
-        ThreadedClient._retry_busy(None, always_busy, 50, 10.0, deadline)
-    assert sleeps, "expected at least one clamped sleep"
-    assert all(delay <= 0.26 for delay in sleeps)
-    # Once past the deadline the loop re-raises instead of burning the
+    assert busy_retry_delay(0, 3, 0.1, 60.0, 0.0) == pytest.approx(0.1 * 1 * 0.5)
+    assert busy_retry_delay(1, 3, 0.1, 60.0, 1.0) == pytest.approx(0.1 * 2 * 1.0)
+    assert busy_retry_delay(2, 3, 0.1, 60.0, 0.5) == pytest.approx(0.1 * 4 * 0.75)
+    # The retry budget is spent: 4 attempts, no sleep after the last.
+    assert busy_retry_delay(3, 3, 0.1, 60.0, 1.0) is None
+    # backoff=10 wants a 10s first nap; only 0.25s remain.
+    assert busy_retry_delay(0, 50, 10.0, 0.25, 1.0) == pytest.approx(0.25)
+    # Past the deadline the loop re-raises instead of burning the
     # remaining retry budget.
-    assert len(sleeps) < 5
+    assert busy_retry_delay(0, 50, 0.1, 0.0, 1.0) is None
+    assert busy_retry_delay(0, 50, 0.1, -1.0, 1.0) is None
+    # Retry 12 at the default backoff used to be a 41s nap.
+    assert busy_retry_delay(12, 1000, 0.01, 0.6, 1.0) == pytest.approx(0.6)
 
 
-def test_backoff_past_deadline_raises_without_sleeping(monkeypatch):
+def test_client_sleeps_the_schedule_and_stops_at_the_budget(monkeypatch):
     sleeps = []
-    monkeypatch.setattr("repro.service.net.threaded.time.sleep", sleeps.append)
     attempts = []
-
-    def attempt():
-        attempts.append(1)
-        raise ServiceBusyError("saturated")
-
-    with pytest.raises(ServiceBusyError):
-        ThreadedClient._retry_busy(None, attempt, 50, 0.1, time.monotonic() - 1.0)
-    assert len(attempts) == 1  # one try, then straight out
-    assert sleeps == []
-
-
-def test_async_backoff_schedule_matches_threaded(monkeypatch):
-    sleeps = []
 
     async def fake_sleep(delay):
         sleeps.append(delay)
@@ -190,13 +146,17 @@ def test_async_backoff_schedule_matches_threaded(monkeypatch):
     monkeypatch.setattr("repro.service.net.aio.random.random", lambda: 1.0)
 
     async def attempt():
+        attempts.append(1)
         raise ServiceBusyError("saturated")
 
-    async def drive():
+    async def drive(retries, deadline):
         with pytest.raises(ServiceBusyError):
-            await AsyncServiceClient._retry_busy(
-                None, attempt, 3, 0.1, time.monotonic() + 60.0
-            )
+            await AsyncServiceClient._retry_busy(None, attempt, retries, 0.1, deadline)
 
-    asyncio.run(drive())
+    asyncio.run(drive(3, time.monotonic() + 60.0))
+    assert len(attempts) == 4
     assert sleeps == pytest.approx([0.1, 0.2, 0.4])
+    # Already past the deadline: one try, then straight out.
+    del attempts[:], sleeps[:]
+    asyncio.run(drive(50, time.monotonic() - 1.0))
+    assert len(attempts) == 1 and sleeps == []

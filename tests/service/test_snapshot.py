@@ -128,11 +128,13 @@ class TestCarryForward:
         assert store.load_manifest().wal_seq == 17
 
 
-class TestV1Compatibility:
-    def test_v1_manifest_loads_with_uniform_covered_seqs(self, store):
+class TestV1Refused:
+    def test_v1_manifest_is_refused_by_name(self, store):
         """A manifest written by the old quiesced protocol (version 1,
-        one global ``wal_seq``, no per-entry covered seq) must load with
-        every document covered at that global position."""
+        one global ``wal_seq``, no per-entry covered seq) is no longer
+        read: refused with the version in the message, never treated as
+        "no checkpoint" (which would replay the WAL over the wrong
+        base)."""
         states = {"a.xml": b"<a/>", "b.xml": b"<b/>"}
         store.write_checkpoint(states, uniform(states, 6))
         path = os.path.join(store.directory, MANIFEST_NAME)
@@ -143,11 +145,8 @@ class TestV1Compatibility:
             del entry["covered_seq"]
         with open(path, "w") as handle:
             json.dump(payload, handle)
-        loaded = store.load_manifest()
-        assert loaded.wal_seq == 6
-        for doc in states:
-            assert loaded.documents[doc].covered_seq == 6
-            assert store.read_state(loaded, doc) == states[doc]
+        with pytest.raises(CheckpointError, match="version 1"):
+            store.load_manifest()
 
 
 class TestCorruptionDetection:

@@ -2,12 +2,14 @@
 segment rotation/retirement, and sequence numbering across reopen."""
 
 import os
+import struct
+import zlib
 
 import pytest
 
 from repro.errors import WalError
 from repro.service.wal import (
-    MAGIC,
+    LEGACY_MAGIC,
     SEGMENT_HEADER_SIZE,
     WriteAheadLog,
     list_segments,
@@ -56,24 +58,35 @@ class TestAppendAndScan:
         with pytest.raises(WalError):
             WriteAheadLog(wal_path, sync_mode="sometimes")
 
-    def test_legacy_single_file_is_migrated(self, wal_path):
-        """A pre-segment WAL file (XRWAL001) is adopted as segment 1."""
-        frame_and_payload = b""
-        import struct
-        import zlib
-
+    def _legacy_bytes(self):
         payload = b"legacy-record"
-        frame_and_payload = (
+        return LEGACY_MAGIC + (
             struct.pack("<QII", 1, len(payload), zlib.crc32(payload)) + payload
         )
+
+    def test_legacy_single_file_is_refused_not_ignored(self, wal_path):
+        """A pre-segment WAL file (XRWAL001) at the base path is neither
+        adopted nor overlooked: opening must not start a fresh segment 1
+        beside acknowledged data."""
         with open(wal_path, "wb") as handle:
-            handle.write(MAGIC + frame_and_payload)
-        with WriteAheadLog(wal_path) as wal:
-            assert [r.payload for r in wal.records()] == [payload]
-            assert wal.next_seq == 2
-        assert not os.path.exists(wal_path)  # renamed to the segment name
-        assert os.path.exists(segment_path(wal_path, 1))
+            handle.write(self._legacy_bytes())
         assert wal_exists(wal_path)
+        with pytest.raises(WalError, match="XRWAL001"):
+            WriteAheadLog(wal_path)
+        assert os.path.exists(wal_path)
+        assert not os.path.exists(segment_path(wal_path, 1))
+
+    def test_legacy_magic_on_segment_one_is_refused_not_torn(self, wal_path):
+        """An XRWAL001 file sitting under the segment-1 name is not a
+        torn header: it must raise, and the bytes must survive (a tear
+        would be truncated away by recovery)."""
+        legacy = self._legacy_bytes()
+        with open(segment_path(wal_path, 1), "wb") as handle:
+            handle.write(legacy)
+        with pytest.raises(WalError, match="XRWAL001"):
+            WriteAheadLog(wal_path)
+        with open(segment_path(wal_path, 1), "rb") as handle:
+            assert handle.read() == legacy
 
 
 class TestTornTail:
