@@ -32,6 +32,8 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
+from concurrent.futures import Future
+from concurrent.futures import TimeoutError as FutureTimeoutError
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional, Sequence
@@ -54,39 +56,44 @@ ApplyBatch = Callable[
 
 
 class Ticket:
-    """A submitted operation's handle: wait for durability + apply."""
+    """A submitted operation's handle: wait for durability + apply.
+
+    ``future`` resolves to the WAL sequence number or the apply error;
+    an event loop awaits it through ``asyncio.wrap_future``.  It is
+    marked running at birth, so ``cancel()`` always fails: a waiter
+    that gives up (a deadline, an aborted connection) can never cancel
+    the ticket out from under the committer, whose later ``set_result``
+    would otherwise raise and kill the committer thread.
+    """
 
     def __init__(self, op: ServiceOp) -> None:
         self.op = op
-        self._done = threading.Event()
-        self._seq: Optional[int] = None
-        self._error: Optional[Exception] = None
+        self.future: Future = Future()
+        self.future.set_running_or_notify_cancel()
 
     def _resolve(self, seq: Optional[int]) -> None:
-        self._seq = seq
-        self._done.set()
+        self.future.set_result(seq)
 
     def _fail(self, error: Exception) -> None:
-        self._error = error
-        self._done.set()
+        self.future.set_exception(error)
 
     @property
     def done(self) -> bool:
-        return self._done.is_set()
+        return self.future.done()
 
     @property
     def failed(self) -> bool:
         """True once the ticket resolved with an apply error."""
-        return self._error is not None
+        return self.future.done() and self.future.exception() is not None
 
     def wait(self, timeout: Optional[float] = None) -> Optional[int]:
         """Block until resolved; returns the WAL sequence number (None if
         the service runs without a WAL), or raises the apply error."""
-        if not self._done.wait(timeout):
-            raise ServiceTimeoutError("operation not yet durable")
-        if self._error is not None:
-            raise self._error
-        return self._seq
+        try:
+            self.future.exception(timeout)
+        except FutureTimeoutError:
+            raise ServiceTimeoutError("operation not yet durable") from None
+        return self.future.result()
 
 
 @dataclass
@@ -365,11 +372,11 @@ class GroupCommitBatcher:
                 with span("wal.append", records=len(ops)):
                     seqs = self._log(ops)
             except Exception as error:  # WAL failure: nothing was applied
-                for ticket in batch:
-                    ticket._fail(error)
                 with self.stats._lock:
                     self.stats.failed += len(batch)
                 registry.counter("batcher.ops.failed").inc(len(batch))
+                for ticket in batch:
+                    ticket._fail(error)
                 return
             # 2. Apply, collecting one outcome per operation.
             try:
@@ -393,14 +400,10 @@ class GroupCommitBatcher:
                     self.stats.syncs += 1
             except Exception as error:
                 errors = [err if err is not None else error for err in errors]
-        applied = failed = 0
-        for ticket, seq, err in zip(batch, seqs, errors):
-            if err is None:
-                ticket._resolve(seq)
-                applied += 1
-            else:
-                ticket._fail(err)
-                failed += 1
+        # Count before resolving: a client that sees its ack and then
+        # reads `stats` must never find fewer applied ops than acks.
+        failed = sum(err is not None for err in errors)
+        applied = len(batch) - failed
         with self.stats._lock:
             self.stats.applied += applied
             self.stats.failed += failed
@@ -410,6 +413,11 @@ class GroupCommitBatcher:
         registry.counter("batcher.ops.applied").inc(applied)
         if failed:
             registry.counter("batcher.ops.failed").inc(failed)
+        for ticket, seq, err in zip(batch, seqs, errors):
+            if err is None:
+                ticket._resolve(seq)
+            else:
+                ticket._fail(err)
 
     def _log(self, ops: Sequence[ServiceOp]) -> list[Optional[int]]:
         if self._wal is None:

@@ -11,11 +11,20 @@ is settled.  Because the loop lives on its own thread, a server's
 lifecycle API (``start`` / ``address`` / ``close``) is synchronous: the
 CLI, tests and benches drive it from plain threads.
 
-**Server shape.**  Each connection is a coroutine that *only* parses
-frames and writes responses; every dispatch (SQLite through the reader
-pool, group-commit waits — all blocking by design) runs on a
-thread-pool executor.  An idle connection therefore costs one task and
-a few KiB, which is what lets one process hold 10k+ connections.
+**Server shape.**  Each connection is a coroutine that parses frames,
+hands each request to :meth:`Dispatcher.dispatch
+<repro.service.net.handlers.Dispatcher.dispatch>` on the loop, and
+writes responses.  Nothing on the loop blocks: a request makes at most
+one round trip between the loop and the thread that does its work.
+Counted as thread handoffs: ``ping``, ``stats`` and ``submit`` are
+answered on the loop (2 → 0); ``submit_wait`` is admitted on the loop
+and awaits the ticket the group-commit thread resolves, and ``query``
+awaits the service's query-pool future (4 → 2 each: loop → that thread
+→ loop, with no dispatch thread parked in between); ``execute``,
+``flush`` and ``checkpoint``, which block a thread by nature, run on
+the loop's default executor.  An idle connection
+therefore costs one task and a few KiB, which is what lets one process
+hold 10k+ connections.
 
 **Pipelining.**  Request ids permit out-of-order completion: the read
 loop keeps parsing frames while earlier dispatches are still executing,
@@ -28,8 +37,8 @@ of buffered.
 **Admission and drain.**  At most ``max_connections`` (excess answered
 with one ``BUSY`` frame and closed); ``close()`` stops accepting, lets
 in-flight dispatches finish against a deadline, closes each session
-(waiting out its tickets — acked async submits are durable before drain
-completes), counts stragglers into
+(awaiting its tickets on the loop — acked async submits are durable
+before drain completes), counts stragglers into
 ``net.close.undrained_connections``, and finally closes the service
 when it owns it.
 
@@ -46,8 +55,6 @@ import itertools
 import random
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
-from functools import partial
 from typing import Any, Coroutine, Iterable, Optional
 
 from repro.errors import (
@@ -139,6 +146,15 @@ class LoopThread:
         try:
             self._loop.run_forever()
         finally:
+            # Finish what is still pending (a connection cut loose at the
+            # drain deadline, say) the way asyncio.run does, instead of
+            # leaving tasks to be destroyed pending.
+            tasks = asyncio.all_tasks(self._loop)
+            for task in tasks:
+                task.cancel()
+            self._loop.run_until_complete(
+                asyncio.gather(*tasks, return_exceptions=True)
+            )
             self._loop.run_until_complete(self._loop.shutdown_asyncgens())
             self._loop.close()
 
@@ -181,6 +197,8 @@ class FrameConnection:
         self.writer = writer
         self.stopping = asyncio.Event()
         self.done = asyncio.Event()
+        #: Set when the drain deadline cut this connection loose.
+        self.aborted = False
         self._write_lock = asyncio.Lock()
         self._tasks: set[asyncio.Task] = set()
 
@@ -206,6 +224,7 @@ class FrameConnection:
 
     def abort(self) -> None:
         """Drain deadline passed: cut the connection loose."""
+        self.aborted = True
         for task in list(self._tasks):
             task.cancel()
         try:
@@ -244,13 +263,15 @@ class FrameConnection:
             stop_task.cancel()
             for task in list(self._tasks):
                 task.cancel()
-            await self.release()
             try:
-                self.writer.close()
-                await self.writer.wait_closed()
-            except Exception:
-                pass
-            self.done.set()
+                await self.release()
+            finally:
+                try:
+                    self.writer.close()
+                    await self.writer.wait_closed()
+                except Exception:
+                    pass
+                self.done.set()
 
     # The write lock keeps a chunk sequence contiguous even while other
     # pipelined responses are completing.
@@ -292,14 +313,12 @@ class FrameServer:
         max_connections: int,
         max_inflight: int,
         max_request_timeout: float,
-        executor: ThreadPoolExecutor,
     ) -> None:
         self._host = host
         self._port = port
         self._max_connections = max_connections
         self._max_inflight = max_inflight
         self._max_request_timeout = max_request_timeout
-        self._executor = executor
         self._loop_thread: Optional[LoopThread] = None
         self._server: Optional[asyncio.base_events.Server] = None
         self._address: Optional[tuple[str, int]] = None
@@ -375,7 +394,6 @@ class FrameServer:
             except Exception:
                 undrained = len(self._connections)
             self._loop_thread.stop()
-        self._executor.shutdown(wait=False, cancel_futures=True)
         if undrained:
             get_registry().counter(
                 f"{self._metrics}.close.undrained_connections"
@@ -434,6 +452,11 @@ class FrameServer:
         gauge.inc()
         try:
             await connection.serve()
+        except asyncio.CancelledError:
+            # The loop is shutting down with this connection cut loose
+            # at the drain deadline; end quietly (asyncio's streams log
+            # a connection handler that ends cancelled as an error).
+            pass
         finally:
             self._connections.pop(connection.id, None)
             gauge.dec()
@@ -443,8 +466,9 @@ class FrameServer:
 # The service front end
 # ----------------------------------------------------------------------
 class AsyncNetServer(FrameServer):
-    """The TCP front end over one :class:`UpdateService`: every request
-    is dispatched on a thread-pool executor."""
+    """The TCP front end over one :class:`UpdateService`: requests are
+    dispatched on the event loop, which awaits the committer's tickets
+    and the query pool's futures directly."""
 
     def __init__(
         self,
@@ -457,21 +481,13 @@ class AsyncNetServer(FrameServer):
         max_request_timeout: float = 30.0,
         own_service: bool = False,
         chunk_bytes: int = DEFAULT_CHUNK_BYTES,
-        executor_workers: int = 32,
     ) -> None:
-        # Dispatches block (reader pool, group-commit waits); the
-        # worker count is the server-wide execution parallelism, sized
-        # so a few deep pipelines can have every request in flight —
-        # that is where group commit earns its fsync amortisation.
         super().__init__(
             host,
             port,
             max_connections=max_connections,
             max_inflight=max_inflight,
             max_request_timeout=max_request_timeout,
-            executor=ThreadPoolExecutor(
-                max_workers=executor_workers, thread_name_prefix="net-aio-exec"
-            ),
         )
         self.service = service
         self._own_service = own_service
@@ -519,16 +535,12 @@ class _AsyncConnection(FrameConnection):
     async def _process(self, request: dict) -> None:
         registry = get_registry()
         server = self.server
-        loop = asyncio.get_running_loop()
         started = time.monotonic()
         registry.counter("net.requests").inc()
         try:
-            response = await loop.run_in_executor(
-                server._executor,
-                server._dispatcher.dispatch,
-                self.session,
-                request,
-            )
+            response = server._dispatcher.dispatch(self.session, request)
+            if not isinstance(response, dict):
+                response = await response
         except asyncio.CancelledError:
             raise
         except Exception as error:
@@ -546,18 +558,25 @@ class _AsyncConnection(FrameConnection):
         await self.send_frames(frames)
 
     async def release(self) -> None:
-        # Session close waits out this connection's tickets — acked
-        # async submits are durable before drain finishes.
-        server = self.server
+        # Await this connection's tickets on the loop — acked async
+        # submits are durable before drain finishes — then close the
+        # session, which only counts what is still unresolved.  Past the
+        # drain deadline nothing is awaited: the loop is about to stop.
+        waits = [] if self.aborted else [
+            asyncio.wrap_future(ticket.future) for ticket in self.session.unresolved()
+        ]
         try:
-            undrained = await asyncio.get_running_loop().run_in_executor(
-                server._executor,
-                partial(self.session.close, timeout=server._max_request_timeout),
-            )
-        except RuntimeError:  # executor already shut down
+            if waits:
+                await asyncio.wait(waits, timeout=self.server._max_request_timeout)
+        finally:
+            for wait in waits:
+                if wait.done():
+                    wait.exception()  # a failure is counted by close() below
+                else:
+                    wait.cancel()  # stops the wait; the ticket cannot be cancelled
             undrained = self.session.close(timeout=0.0)
-        if undrained:
-            get_registry().counter("net.close.undrained").inc(undrained)
+            if undrained:
+                get_registry().counter("net.close.undrained").inc(undrained)
 
 
 # ----------------------------------------------------------------------

@@ -5,18 +5,36 @@ depend on the transport: version and shape validation, the
 per-request monotonic deadline (clamped to the server's ceiling), the
 per-connection in-flight admission bound, payload decoding through the
 WAL codec, the per-document execute locks, and the handler for each
-request kind.  ``dispatch(session, request)`` is a plain blocking call
-returning the complete response frame —
-:class:`~repro.service.net.aio.AsyncNetServer` calls it on its executor
-and sends whatever frames :func:`~repro.service.net.core.split_response`
-derives from the result.
+request kind.
+
+``dispatch(session, request)`` runs on the server's event loop and
+never blocks it.  It returns the complete response frame when the
+answer is at hand, or an awaitable of it when a thread still has work
+to do — :class:`~repro.service.net.aio.AsyncNetServer` awaits that
+under the request's single deadline and sends whatever frames
+:func:`~repro.service.net.core.split_response` derives from the result.
+Per kind, counted as handoffs between the loop and another thread:
+
+* ``ping``, ``stats`` and ``submit`` are answered on the loop: **0**.
+* ``submit_wait`` is admitted on the loop (``submit(op, timeout=0)``:
+  a full queue answers retryable ``BUSY``) and the loop awaits the
+  ticket the committer resolves; ``query`` hands its work to the
+  service's query pool and awaits that future: **2** each (loop → the
+  working thread → loop).
+* ``execute``, ``flush`` and ``checkpoint`` block a thread by nature
+  (execute's read-modify-write, the batcher barrier, the checkpoint
+  capture), so their handlers run unchanged on the loop's default
+  executor — a different pool from the query pool, so ``execute``'s
+  nested query cannot starve it.
 """
 
 from __future__ import annotations
 
+import asyncio
 import threading
 import time
-from typing import Any, Callable, Optional
+from concurrent.futures import Future
+from typing import Any, Awaitable, Callable, NamedTuple, Optional, Union
 
 from repro.errors import (
     ProtocolError,
@@ -32,6 +50,7 @@ from repro.service.net.core import (
     error_frame,
     reply_id,
 )
+from repro.service.batcher import Ticket
 from repro.service.ops import (
     DeltaUpdate,
     ServiceOp,
@@ -41,6 +60,27 @@ from repro.service.ops import (
 )
 from repro.service.server import DocumentHost, StoreHost, UpdateService
 from repro.service.session import Session
+
+
+class Deferred(NamedTuple):
+    """A handler's answer that another thread is still computing: the
+    body is ``{key: <future's value>}``, or the value itself when
+    ``key`` is None."""
+
+    future: Union[Future, asyncio.Future]
+    key: Optional[str] = None
+
+
+def _on_executor(handler: Callable) -> Callable:
+    """Run a blocking handler on the loop's default executor."""
+
+    def deferred(self, session, request, deadline) -> Deferred:
+        loop = asyncio.get_running_loop()
+        return Deferred(
+            loop.run_in_executor(None, handler, self, session, request, deadline)
+        )
+
+    return deferred
 
 
 class Dispatcher:
@@ -71,8 +111,11 @@ class Dispatcher:
         self._mutex = threading.Lock()
 
     # ------------------------------------------------------------------
-    def dispatch(self, session: Session, request: dict) -> dict:
-        """One request frame → its complete response frame."""
+    def dispatch(
+        self, session: Session, request: dict
+    ) -> Union[dict, Awaitable[dict]]:
+        """One request frame → its response frame, or an awaitable of
+        it bounded by the request's deadline (call on the event loop)."""
         request_id = reply_id(request)
         try:
             check_envelope(request)
@@ -82,12 +125,37 @@ class Dispatcher:
                 raise ProtocolError(f"unknown request kind {kind!r}")
             deadline = self._deadline(request)
             result = handler(self, session, request, deadline)
-        except ReproError as error:
-            return error_frame(request_id, error)
-        except Exception as error:  # never leak a traceback over the wire
-            return error_frame(request_id, ServiceError(f"internal error: {error}"))
-        result.update({"v": PROTOCOL_VERSION, "id": request_id, "ok": True})
-        return result
+        except Exception as error:
+            return self._error(request_id, error)
+        if isinstance(result, Deferred):
+            return self._settle(request_id, result, deadline)
+        return self._ok(request_id, result)
+
+    async def _settle(self, request_id: int, deferred: Deferred, deadline: float) -> dict:
+        try:
+            value = await asyncio.wait_for(
+                asyncio.wrap_future(deferred.future), self._remaining(deadline)
+            )
+        except asyncio.TimeoutError:
+            # The wait is cancelled; a ticket's future cannot be (the
+            # operation still commits), a query still queued never runs.
+            return error_frame(
+                request_id, ServiceTimeoutError("request deadline passed")
+            )
+        except Exception as error:
+            return self._error(request_id, error)
+        return self._ok(request_id, value if deferred.key is None else {deferred.key: value})
+
+    @staticmethod
+    def _ok(request_id: int, body: dict) -> dict:
+        body.update({"v": PROTOCOL_VERSION, "id": request_id, "ok": True})
+        return body
+
+    @staticmethod
+    def _error(request_id: int, error: Exception) -> dict:
+        if not isinstance(error, ReproError):  # never leak a traceback over the wire
+            error = ServiceError(f"internal error: {error}")
+        return error_frame(request_id, error)
 
     def _deadline(self, request: dict) -> float:
         """The request's single monotonic deadline, clamped to the
@@ -134,43 +202,45 @@ class Dispatcher:
     def _op_ping(self, session: Session, request: dict, deadline: float) -> dict:
         return {"pong": True, "documents": self.service.documents}
 
-    def _op_submit(self, session: Session, request: dict, deadline: float) -> dict:
-        op = self._decode_payload(request)
-        self._admit(session)
+    @staticmethod
+    def _enqueue(submit: Callable[[], Ticket]) -> Ticket:
+        """Queue without waiting (the caller passes ``timeout=0``): a
+        full batcher queue rejects now with retryable BUSY instead of
+        blocking the event loop on it."""
         try:
-            # timeout=0: a full batcher queue rejects now (retryable
-            # BUSY) instead of parking this connection's thread on it.
-            session.submit(op.doc, op, timeout=0.0)
+            return submit()
         except ServiceTimeoutError:
             raise ServiceBusyError(
                 "submission queue is full; back off and retry"
             ) from None
+
+    def _op_submit(self, session: Session, request: dict, deadline: float) -> dict:
+        op = self._decode_payload(request)
+        self._admit(session)
+        self._enqueue(lambda: session.submit(op.doc, op, timeout=0.0))
         return {"queued": True, "pending": session.pending}
 
     def _op_submit_wait(
         self, session: Session, request: dict, deadline: float
-    ) -> dict:
+    ) -> Deferred:
         op = self._decode_payload(request)
         self._admit(session)
-        seq = self.service.submit_wait(op, timeout=self._remaining(deadline))
-        return {"seq": seq}
+        ticket = self._enqueue(lambda: self.service.submit(op, timeout=0.0))
+        return Deferred(ticket.future, "seq")
 
-    def _op_query(self, session: Session, request: dict, deadline: float) -> dict:
+    def _op_query(self, session: Session, request: dict, deadline: float) -> Deferred:
         doc = request.get("doc")
         if not isinstance(doc, str):
             raise ProtocolError("query needs a 'doc' string")
         statement = request.get("statement")
         if statement is None:
-            text = self.service.query(doc, None, timeout=self._remaining(deadline))
-            return {"text": text}
-        if not isinstance(statement, str):
+            work, key = None, "text"
+        elif isinstance(statement, str):
+            work, key = (lambda host: run_statement_query(host, statement)), "results"
+        else:
             raise ProtocolError("'statement' must be a string when present")
-        results = self.service.query(
-            doc,
-            lambda host: run_statement_query(host, statement),
-            timeout=self._remaining(deadline),
-        )
-        return {"results": results}
+        future = self.service.query_future(doc, work, timeout=self._remaining(deadline))
+        return Deferred(future, key)
 
     def _op_execute(self, session: Session, request: dict, deadline: float) -> dict:
         doc = request.get("doc")
@@ -201,14 +271,16 @@ class Dispatcher:
             "metrics": get_registry().snapshot(),
         }
 
-    _HANDLERS: dict[str, Callable[["Dispatcher", Session, dict, float], dict]] = {
+    _HANDLERS: dict[
+        str, Callable[["Dispatcher", Session, dict, float], Union[dict, Deferred]]
+    ] = {
         "ping": _op_ping,
         "submit": _op_submit,
         "submit_wait": _op_submit_wait,
         "query": _op_query,
-        "execute": _op_execute,
-        "flush": _op_flush,
-        "checkpoint": _op_checkpoint,
+        "execute": _on_executor(_op_execute),
+        "flush": _on_executor(_op_flush),
+        "checkpoint": _on_executor(_op_checkpoint),
         "stats": _op_stats,
     }
 

@@ -137,18 +137,17 @@ class ShardRouter(FrameServer):
     ) -> None:
         self.supervisor = supervisor
         self.map = supervisor.map
-        # Restarts block on process join + respawn + port wait; they run
-        # off-loop so a dying shard never stalls the others' traffic.
         super().__init__(
             host,
             port,
             max_connections=max_connections,
             max_inflight=max_inflight,
             max_request_timeout=max_request_timeout,
-            executor=ThreadPoolExecutor(
-                max_workers=max(2, self.map.shards),
-                thread_name_prefix="router-restart",
-            ),
+        )
+        # Restarts block on process join + respawn + port wait; they run
+        # off-loop so a dying shard never stalls the others' traffic.
+        self._restarts = ThreadPoolExecutor(
+            max_workers=max(2, self.map.shards), thread_name_prefix="router-restart"
         )
         self._health_interval = health_interval
         self._own_supervisor = own_supervisor
@@ -188,6 +187,7 @@ class ShardRouter(FrameServer):
         return undrained
 
     def _release(self, timeout: Optional[float]) -> None:
+        self._restarts.shutdown(wait=False, cancel_futures=True)
         if self._own_supervisor:
             self.supervisor.stop(30.0 if timeout is None else timeout)
 
@@ -244,7 +244,7 @@ class ShardRouter(FrameServer):
         await self._drop_admin(link)
         try:
             await loop.run_in_executor(
-                self._executor, self.supervisor.restart, link.index
+                self._restarts, self.supervisor.restart, link.index
             )
         except asyncio.CancelledError:
             raise

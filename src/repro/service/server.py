@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass
 from typing import Any, Callable, Optional, Sequence, Union
@@ -482,19 +482,37 @@ class UpdateService:
         the lock wait and again to the result wait — so a query could
         take 2x its timeout before failing).
         """
+        deadline = _deadline(timeout)
+        future = self.query_future(doc, work, timeout)
+        try:
+            return future.result(timeout=_remaining(deadline))
+        except FutureTimeoutError:
+            # Still queued behind a saturated pool: keep it from running
+            # after its caller has already given up.
+            future.cancel()
+            raise ServiceTimeoutError(f"query on {doc!r} timed out") from None
+
+    def query_future(
+        self,
+        doc: str,
+        work: Optional[Union[str, Callable[[Host], Any]]] = None,
+        timeout: Optional[float] = None,
+    ) -> Future:
+        """:meth:`query` without the wait: start the work on the pool and
+        return its future.  ``timeout`` bounds the read-lock wait; a
+        caller that stops waiting should ``cancel()`` the future so work
+        still queued behind a saturated pool never runs (an event loop
+        gets that from ``asyncio.wrap_future``)."""
         if self._closed:
             raise ServiceClosedError("service is closed")
         host = self.host(doc)
-        deadline = None if timeout is None else time.monotonic() + timeout
-
-        def remaining() -> Optional[float]:
-            if deadline is None:
-                return None
-            return max(0.0, deadline - time.monotonic())
+        deadline = _deadline(timeout)
 
         def run() -> Any:
             get_registry().counter("service.queries").inc()
-            with self._locks.read(doc, remaining()), span("service.query", doc=doc):
+            with self._locks.read(doc, _remaining(deadline)), span(
+                "service.query", doc=doc
+            ):
                 if work is None:
                     return host.serialize()
                 if callable(work):
@@ -505,14 +523,7 @@ class UpdateService:
                     f"{doc!r} is document-hosted; query with a callable or None"
                 )
 
-        future = self._pool.submit(run)
-        try:
-            return future.result(timeout=remaining())
-        except FutureTimeoutError:
-            # Still queued behind a saturated pool: keep it from running
-            # after its caller has already given up.
-            future.cancel()
-            raise ServiceTimeoutError(f"query on {doc!r} timed out") from None
+        return self._pool.submit(run)
 
     def query_elements(self, doc: str, statement: str) -> list[Element]:
         """Convenience wrapper: an XQuery RETURN query against a store host."""
@@ -849,7 +860,9 @@ def _coalesce(entries: list[tuple[int, ServiceOp]]) -> list[ServiceOp]:
 
     Only adjacent runs merge, so per-document submission order is
     preserved (a delete-copy-delete sequence on the same relation stays
-    three invocations).  Deltas never merge.
+    three invocations).  Deltas never merge, and neither does a copy
+    naming an id its group already copies: the merged id set is
+    de-duplicated, so the second copy would be applied zero times.
     """
     groups: list[ServiceOp] = []
     last_key: Optional[tuple] = None
@@ -861,9 +874,15 @@ def _coalesce(entries: list[tuple[int, ServiceOp]]) -> list[ServiceOp]:
             key = ("copy", op.relation, op.new_parent_id)
         else:
             key = None
-        if key is not None and key == last_key:
-            previous = groups[-1]
-            assert isinstance(previous, (SubtreeDelete, SubtreeCopy))
+        previous = groups[-1] if groups else None
+        if (
+            key is not None
+            and key == last_key
+            and isinstance(previous, (SubtreeDelete, SubtreeCopy))
+            and not (
+                isinstance(op, SubtreeCopy) and not set(op.ids).isdisjoint(previous.ids)
+            )
+        ):
             get_registry().counter("batcher.ops_coalesced").inc()
             merged_ids = previous.ids + op.ids
             if isinstance(previous, SubtreeDelete):

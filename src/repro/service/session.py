@@ -141,8 +141,13 @@ class Session:
     @property
     def pending(self) -> int:
         """Tickets issued by this session that have not resolved yet."""
+        return len(self.unresolved())
+
+    def unresolved(self) -> list[Ticket]:
+        """The tickets :meth:`close` would wait for, so an event loop
+        can await them instead of blocking a thread in ``close``."""
         with self._lock:
-            return sum(1 for ticket in self._tickets if not ticket.done)
+            return [ticket for ticket in self._tickets if not ticket.done]
 
     def close(self, timeout: Optional[float] = None) -> int:
         """Wait for this session's outstanding tickets, then detach.

@@ -211,7 +211,6 @@ class WorkerSpec:
     max_connections: int = 10_000
     max_inflight: int = 128
     max_request_timeout: float = 30.0
-    executor_workers: int = 8
 
     @property
     def wal_path(self) -> str:
@@ -257,7 +256,6 @@ def _start_worker(spec: WorkerSpec):
         max_connections=spec.max_connections,
         max_inflight=spec.max_inflight,
         max_request_timeout=spec.max_request_timeout,
-        executor_workers=spec.executor_workers,
     ).start()
     return server
 

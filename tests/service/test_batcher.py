@@ -12,6 +12,8 @@ from repro.errors import (
     ServiceError,
     ServiceTimeoutError,
 )
+from repro.obs import get_registry
+from repro.obs.metrics import Counter
 from repro.service import ServiceConfig, SubtreeCopy, SubtreeDelete, UpdateService
 from repro.service.batcher import GroupCommitBatcher
 from repro.workloads.synthetic import SyntheticParams
@@ -105,6 +107,35 @@ class TestCoalescing:
         after = store.db.query_one('SELECT COUNT(*) FROM "n1"')[0]
         assert after == before + len(ids)
         store.close()
+
+    def test_same_id_copies_in_one_batch_both_apply(self, master):
+        """Failing before: ``_coalesce`` concatenated the two copies' id
+        tuples and ``_ids_where`` de-duplicated them, so the subtree was
+        copied once while both tickets acked and ``batcher.ops.applied``
+        counted two."""
+        store = master.snapshot()
+        root_id = store.db.query_one('SELECT id FROM "root"')[0]
+        (subtree_id,) = subtree_ids(store, 1)
+        before = store.db.query_one('SELECT COUNT(*) FROM "n1"')[0]
+        applied = get_registry().counter("batcher.ops.applied")
+        applied_before = applied.value
+        service = UpdateService(ServiceConfig(batch_size=64))
+        service.host_store("db.xml", store)
+        service.start()
+        # Queue both while the committer is paused: they form one batch.
+        with service._batcher.paused(timeout=5):
+            tickets = [
+                service.submit(SubtreeCopy("db.xml", "n1", (subtree_id,), root_id))
+                for _ in range(2)
+            ]
+        for ticket in tickets:
+            ticket.wait(5)
+        assert service._batcher.stats.batches == 1
+        service.close()
+        after = store.db.query_one('SELECT COUNT(*) FROM "n1"')[0]
+        store.close()
+        assert after == before + 2
+        assert applied.value == applied_before + 2
 
     def test_order_preserving_coalescing(self):
         """delete/copy/delete on one relation must stay three invocations."""
@@ -214,8 +245,6 @@ class TestQueueDiscipline:
         — a stalled apply meant acked-but-unapplied work was silently
         reported as a clean shutdown.  It must return the undrained
         count and bump ``batcher.close.undrained``."""
-        from repro.obs import get_registry
-
         release = threading.Event()
 
         def stalled_apply(ops, seqs):
@@ -409,6 +438,30 @@ class TestQueueDiscipline:
         batcher.close()
         assert sum(sizes) == 6
         assert all(size >= 1 for size in sizes)
+
+    def test_counts_move_before_any_ticket_resolves(self, monkeypatch):
+        """Failing before: ``_commit_batch`` resolved every ticket and
+        only then counted the batch, so a client that saw its ack and
+        then asked for ``stats`` could read applied < acked."""
+        batcher = GroupCommitBatcher(lambda ops, seqs: [None] * len(ops), max_batch=8)
+        # Queued before the committer starts: one batch of three.
+        tickets = [batcher.submit(SubtreeDelete("d", "n1", (i,))) for i in range(3)]
+        seen = []
+        original_inc = Counter.inc
+
+        def recording_inc(counter, amount=1):
+            if counter.name == "batcher.ops.applied":
+                seen.append(
+                    ([ticket.done for ticket in tickets], batcher.stats.applied)
+                )
+            original_inc(counter, amount)
+
+        monkeypatch.setattr(Counter, "inc", recording_inc)
+        batcher.start()
+        for ticket in tickets:
+            ticket.wait(5)
+        batcher.close()
+        assert seen == [([False, False, False], 3)]
 
     def test_close_without_drain_fails_pending(self):
         started = threading.Event()

@@ -71,8 +71,8 @@ def make_service(**overrides):
 
 
 async def wait_event(event, timeout=JOIN_TIMEOUT):
-    """Await a *threading* Event from a coroutine (the gated handler
-    body runs on the server's executor thread)."""
+    """Await a *threading* Event from a coroutine (the gated work runs
+    on a service thread)."""
     deadline = time.monotonic() + timeout
     while not event.is_set():
         assert time.monotonic() < deadline, "event never fired"
@@ -154,14 +154,20 @@ class TestPipelining:
         service = make_service()
         query_started = threading.Event()
         gate = threading.Event()
-        original_query = service.query
+        pool = service._pool
+        original_submit = pool.submit
 
-        def gated_query(doc, fn=None, timeout=None):
-            query_started.set()
-            assert gate.wait(JOIN_TIMEOUT)
-            return original_query(doc, fn, timeout=timeout)
+        def gated_submit(fn, *args, **kwargs):
+            # Gate the work the query pool runs, before its read lock:
+            # the server awaits the pool's future on its event loop.
+            def gated():
+                query_started.set()
+                assert gate.wait(JOIN_TIMEOUT)
+                return fn(*args, **kwargs)
 
-        service.query = gated_query
+            return original_submit(gated)
+
+        pool.submit = gated_submit
         server = AsyncNetServer(service, own_service=True).start()
 
         async def scenario():

@@ -76,17 +76,23 @@ def make_service(**overrides):
 
 
 def gate_queries(service):
-    """Make every ``service.query`` block until the returned gate opens;
-    the first returned event fires once a query is blocked."""
+    """Make every query the service's pool runs block (before its read
+    lock) until the returned gate opens; the first returned event fires
+    once a query is blocked.  The server awaits the pool's future on
+    its event loop, so the gate holds a pool thread, never the loop."""
     started, gate = threading.Event(), threading.Event()
-    original_query = service.query
+    pool = service._pool
+    original_submit = pool.submit
 
-    def gated_query(doc, fn=None, timeout=None):
-        started.set()
-        gate.wait(JOIN_TIMEOUT)
-        return original_query(doc, fn, timeout=timeout)
+    def gated_submit(fn, *args, **kwargs):
+        def gated():
+            started.set()
+            gate.wait(JOIN_TIMEOUT)
+            return fn(*args, **kwargs)
 
-    service.query = gated_query
+        return original_submit(gated)
+
+    pool.submit = gated_submit
     return started, gate
 
 
