@@ -27,17 +27,17 @@ Usage::
 The document name visible to ``document("...")`` inside statements is
 the XML file's basename (override with ``--name``).
 
-``serve`` runs the durable update service over the document: update
-statements read from stdin (one per line) are executed, converted to
-deltas, group-committed through the write-ahead log, and applied;
+``serve`` runs the durable update service over the document: statements
+read from stdin (one per line) go through ``UpdateService.execute`` —
+an update runs on a copy of the hosted document, its recorded effect is
+group-committed through the write-ahead log as one delta, and applied;
 ``--checkpoint-every`` / ``--checkpoint-bytes`` arm the automatic
 checkpoint policy (snapshot the state, retire covered WAL segments).
 With ``--listen HOST:PORT`` the service is additionally fronted by the
 framed TCP protocol (:mod:`repro.service.net`: an asyncio server with
 pipelined frames and streamed responses) and stdin becomes a control
 console; ``connect`` is the matching client — statements are executed
-*server-side* (reads under the read lock, updates through the
-scratch-copy → diff → group-commit pipeline).
+*server-side* by that same ``UpdateService.execute``.
 ``replay`` recovers a crashed service's WAL — restoring the last
 checkpoint snapshot first, when one exists — against the base document.
 ``checkpoint`` recovers the WAL the same way and then takes one
@@ -432,8 +432,6 @@ def cmd_shell(args) -> int:
 def cmd_serve(args) -> int:
     from repro.obs import get_tracer, span
     from repro.service import ServiceConfig, UpdateService
-    from repro.updates.delta import diff
-    from repro.xmlmodel.parser import XmlParser
 
     if args.shards:
         return _serve_shards(args)
@@ -465,11 +463,12 @@ def cmd_serve(args) -> int:
     service.start()
     if args.listen:
         return _serve_listen(args, service, name)
-    session = service.open_session()
     statements = 0
+    # Recovery may have replaced the hosted document with a checkpoint
+    # snapshot: everything below reads the host's, never the --xml one.
     print(
-        f"-- serving {name} ({document.count_elements()} elements); "
-        f"WAL {args.wal}, batch size {args.batch_size}; "
+        f"-- serving {name} ({service.host(name).document.count_elements()} "
+        f"elements); WAL {args.wal}, batch size {args.batch_size}; "
         "one statement per line, :quit to exit",
         file=sys.stderr,
     )
@@ -485,42 +484,22 @@ def cmd_serve(args) -> int:
                 print(f"-- {ckpt_report.summary()}", file=sys.stderr)
                 continue
             try:
-                parsed = XQueryEngine({}, policy=policy).parse(statement)
-            except ReproError as error:
-                print(f"error: {error}", file=sys.stderr)
-                continue
-            if not parsed.is_update:
-                try:
-                    result = service.query(
-                        name, lambda host: _run_read_query(host, statement, policy)
-                    )
-                except ReproError as error:
-                    print(f"error: {error}", file=sys.stderr)
-                    continue
-                for text in result:
-                    print(text)
-                print(f"-- {len(result)} result(s)", file=sys.stderr)
-                continue
-            # Execute against a scratch copy, diff, and submit the delta:
-            # the WAL records the statement's *effect*, which replays
-            # deterministically regardless of bindings.
-            try:
                 with span("serve.statement"):
-                    working = XmlParser(serialize(document), policy=policy).parse()
-                    XQueryEngine({name: working}, policy=policy).execute(parsed)
-                    with span("delta.diff"):
-                        delta = diff(document, working)
-                    sequence = session.submit_wait(name, delta)
+                    outcome = service.execute(name, statement)
             except ReproError as error:
                 print(f"error: {error}", file=sys.stderr)
+                continue
+            if "results" in outcome:
+                for text in outcome["results"]:
+                    print(text)
+                print(f"-- {len(outcome['results'])} result(s)", file=sys.stderr)
                 continue
             statements += 1
             print(
-                f"-- durable seq {sequence}: {len(delta)} delta op(s)",
+                f"-- durable seq {outcome['seq']}: {outcome['delta_ops']} delta op(s)",
                 file=sys.stderr,
             )
     finally:
-        session.close()
         service.close()
         if args.trace_out:
             tracer.stop_capture()
@@ -728,24 +707,6 @@ def cmd_connect(args) -> int:
                 print(f"-- durable seq {outcome['seq']}: "
                       f"{outcome['delta_ops']} delta op(s)", file=sys.stderr)
     return 0
-
-
-def _run_read_query(host, statement: str, policy) -> list[str]:
-    """Run a FLWR statement against a hosted document (under read lock)."""
-    engine = XQueryEngine({host.name: host.document}, policy=policy)
-    result = engine.execute(statement)
-    assert isinstance(result, QueryResult)
-    rendered = []
-    for node in result:
-        from repro.xmlmodel.model import Element
-
-        if isinstance(node, Element):
-            rendered.append(serialize(node))
-        else:
-            from repro.xpath.evaluator import string_value
-
-            rendered.append(string_value(node))
-    return rendered
 
 
 def cmd_replay(args) -> int:

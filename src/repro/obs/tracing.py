@@ -18,7 +18,7 @@ is wall-clock and only for humans reading the export.
 
 Span names follow the metric naming scheme — dotted,
 ``<layer>.<phase>``: ``xquery.parse``, ``xquery.bind``,
-``xquery.execute``, ``sql.translate``, ``sql.execute``, ``delta.diff``,
+``xquery.execute``, ``sql.translate``, ``sql.execute``,
 ``service.commit``, ``service.apply``, ``wal.append``, ``wal.fsync``,
 ``recovery.replay``.
 """

@@ -4,8 +4,11 @@ A :class:`Dispatcher` owns everything about a request that does not
 depend on the transport: version and shape validation, the
 per-request monotonic deadline (clamped to the server's ceiling), the
 per-connection in-flight admission bound, payload decoding through the
-WAL codec, the per-document execute locks, and the handler for each
-request kind.
+WAL codec, and the handler for each request kind.  What a request
+*does* belongs to the service: ``query`` runs
+:func:`~repro.service.server.run_statement_query` and ``execute`` is
+:meth:`UpdateService.execute <repro.service.server.UpdateService.execute>`,
+the one statement read-modify-write the ``serve`` console shares.
 
 ``dispatch(session, request)`` runs on the server's event loop and
 never blocks it.  It returns the complete response frame when the
@@ -22,19 +25,18 @@ Per kind, counted as handoffs between the loop and another thread:
   service's query pool and awaits that future: **2** each (loop → the
   working thread → loop).
 * ``execute``, ``flush`` and ``checkpoint`` block a thread by nature
-  (execute's read-modify-write, the batcher barrier, the checkpoint
+  (execute's copy-run-submit-wait, the batcher barrier, the checkpoint
   capture), so their handlers run unchanged on the loop's default
-  executor — a different pool from the query pool, so ``execute``'s
-  nested query cannot starve it.
+  executor — a different pool from the query pool, so a read
+  ``execute``'s nested query cannot starve it.
 """
 
 from __future__ import annotations
 
 import asyncio
-import threading
 import time
 from concurrent.futures import Future
-from typing import Any, Awaitable, Callable, NamedTuple, Optional, Union
+from typing import Awaitable, Callable, NamedTuple, Optional, Union
 
 from repro.errors import (
     ProtocolError,
@@ -58,7 +60,7 @@ from repro.service.ops import (
     SubtreeDelete,
     op_from_dict,
 )
-from repro.service.server import DocumentHost, StoreHost, UpdateService
+from repro.service.server import UpdateService, run_statement_query
 from repro.service.session import Session
 
 
@@ -103,12 +105,6 @@ class Dispatcher:
         self.max_inflight = max_inflight
         self.max_request_timeout = max_request_timeout
         self._net_info = net_info or (lambda: {})
-        # Server-side statement execution is read-modify-write; one
-        # mutex per document serialises concurrent `execute` requests
-        # so each diff is computed against the state its delta will
-        # apply to.
-        self._execute_locks: dict[str, threading.Lock] = {}
-        self._mutex = threading.Lock()
 
     # ------------------------------------------------------------------
     def dispatch(
@@ -169,13 +165,6 @@ class Dispatcher:
     @staticmethod
     def _remaining(deadline: float) -> float:
         return max(0.0, deadline - time.monotonic())
-
-    def _execute_lock(self, doc: str) -> threading.Lock:
-        with self._mutex:
-            lock = self._execute_locks.get(doc)
-            if lock is None:
-                lock = self._execute_locks[doc] = threading.Lock()
-            return lock
 
     def _decode_payload(self, request: dict) -> ServiceOp:
         payload = request.get("payload")
@@ -247,7 +236,7 @@ class Dispatcher:
         statement = request.get("statement")
         if not isinstance(doc, str) or not isinstance(statement, str):
             raise ProtocolError("execute needs 'doc' and 'statement' strings")
-        return self._execute_statement(session, doc, statement, deadline)
+        return self.service.execute(doc, statement, timeout=self._remaining(deadline))
 
     def _op_flush(self, session: Session, request: dict, deadline: float) -> dict:
         self.service.flush(timeout=self._remaining(deadline))
@@ -283,74 +272,3 @@ class Dispatcher:
         "checkpoint": _on_executor(_op_checkpoint),
         "stats": _op_stats,
     }
-
-    # ------------------------------------------------------------------
-    def _execute_statement(
-        self, session: Session, doc: str, statement: str, deadline: float
-    ) -> dict:
-        """Run an XQuery statement server-side.
-
-        Reads answer directly (under the read lock).  Updates follow
-        the ``serve`` loop's discipline — execute against a scratch
-        copy, diff, submit the delta — so the WAL records the
-        statement's *effect*.  The per-document execute lock serialises
-        concurrent executes; raw deltas submitted concurrently by other
-        clients can still interleave, exactly like any read-modify-write
-        client could.
-        """
-        from repro.updates.delta import diff
-        from repro.xmlmodel.parser import XmlParser
-        from repro.xquery.engine import XQueryEngine
-
-        service = self.service
-        host = service.host(doc)
-        remaining = max(0.0, deadline - time.monotonic())
-        parsed = XQueryEngine({}, policy=getattr(host, "policy", None)).parse(
-            statement
-        )
-        if not parsed.is_update:
-            results = service.query(
-                doc, lambda h: run_statement_query(h, statement), timeout=remaining
-            )
-            return {"results": results}
-        if not isinstance(host, DocumentHost):
-            raise ServiceError(
-                f"{doc!r} is store-hosted; submit relational operations instead "
-                "of update statements"
-            )
-        with self._execute_lock(doc):
-            text = service.query(
-                doc, None, timeout=max(0.0, deadline - time.monotonic())
-            )
-            base = XmlParser(text, policy=host.policy).parse()
-            working = XmlParser(text, policy=host.policy).parse()
-            XQueryEngine({doc: working}, policy=host.policy).execute(parsed)
-            delta = diff(base, working)
-            seq = session.submit_wait(
-                doc, delta, timeout=max(0.0, deadline - time.monotonic())
-            )
-        return {"seq": seq, "delta_ops": len(delta)}
-
-
-def run_statement_query(host: Any, statement: str) -> list[str]:
-    """A read-only XQuery statement against either host kind, rendered
-    to strings (runs under the document's read lock on the query pool)."""
-    from repro.xmlmodel.model import Element
-    from repro.xmlmodel.serializer import serialize
-    from repro.xpath.evaluator import string_value
-    from repro.xquery.engine import QueryResult, XQueryEngine
-
-    if isinstance(host, StoreHost):
-        nodes = host.store.query(statement)
-    else:
-        engine = XQueryEngine({host.name: host.document}, policy=host.policy)
-        result = engine.execute(statement)
-        if not isinstance(result, QueryResult):
-            raise ServiceError(
-                "query only runs read-only statements; use 'execute' for updates"
-            )
-        nodes = list(result)
-    return [
-        serialize(node) if isinstance(node, Element) else string_value(node)
-        for node in nodes
-    ]

@@ -11,6 +11,9 @@ and per-document reader-writer locks:
   once the operation is durable and applied;
 * ``query`` runs read-only work on a thread pool under the document's
   read lock, so readers proceed concurrently while writers serialise;
+* ``execute`` runs an XQuery statement server-side: a read as a query,
+  an update on a copy of the document whose recorded effect is
+  submitted as one delta;
 * ``flush`` is a barrier over everything submitted before it;
 * ``close`` drains the queue, stops the committer, and closes the WAL.
 
@@ -43,11 +46,13 @@ from repro.service.ops import DeltaUpdate, ServiceOp, SubtreeCopy, SubtreeDelete
 from repro.service.recovery import RecoveryReport, replay
 from repro.service.snapshot import CheckpointManifest, SnapshotStore
 from repro.service.wal import WriteAheadLog
-from repro.updates.delta import apply_delta
+from repro.updates.delta import DeltaOp, apply_delta
 from repro.xmlmodel.model import Document, Element
 from repro.xmlmodel.parser import XmlParser
 from repro.xmlmodel.policy import RefPolicy
 from repro.xmlmodel.serializer import serialize
+from repro.xpath.evaluator import string_value
+from repro.xquery.engine import QueryResult, XQueryEngine
 
 
 class DocumentHost:
@@ -141,6 +146,25 @@ class StoreHost:
 
 
 Host = Union[DocumentHost, StoreHost]
+
+
+def run_statement_query(host: Host, statement: str) -> list[str]:
+    """A read-only XQuery statement against either host kind, rendered
+    to strings (runs under the document's read lock on the query pool)."""
+    if isinstance(host, StoreHost):
+        nodes = host.store.query(statement)
+    else:
+        engine = XQueryEngine({host.name: host.document}, policy=host.policy)
+        result = engine.execute(statement)
+        if not isinstance(result, QueryResult):
+            raise ServiceError(
+                "query only runs read-only statements; use 'execute' for updates"
+            )
+        nodes = list(result)
+    return [
+        serialize(node) if isinstance(node, Element) else string_value(node)
+        for node in nodes
+    ]
 
 
 def _deadline(timeout: Optional[float]) -> Optional[float]:
@@ -269,6 +293,11 @@ class UpdateService:
         self._fs = fs or Filesystem()
         self._hosts: dict[str, Host] = {}
         self._locks = LockManager()
+        # `execute` is read-modify-write: one mutex per document keeps a
+        # statement from copying the document while another statement's
+        # delta is still on its way to the committer.
+        self._execute_locks: dict[str, threading.Lock] = {}
+        self._execute_mutex = threading.Lock()
         self._closed = False
         self.wal = (
             WriteAheadLog(
@@ -537,6 +566,64 @@ class UpdateService:
                 "not a result list; was the statement an update?"
             )
         return result
+
+    def execute(
+        self, doc: str, statement: str, timeout: Optional[float] = None
+    ) -> dict:
+        """Run an XQuery statement server-side, within one deadline.
+
+        A read answers ``{"results": [...]}`` from the query pool, under
+        the read lock.  An update answers ``{"seq", "delta_ops"}``: the
+        statement runs on a copy of the live document, taken under its
+        read lock, with the executor recording each primitive's effect;
+        that delta is submitted and waited for.  The WAL thus holds the
+        statement's *effect*, which replays without re-evaluating a
+        binding, and a statement that fails part-way submits nothing.
+
+        The per-document execute lock serialises statements, so each
+        one copies the state its predecessor's delta produced.  Raw
+        deltas submitted concurrently by other clients can still
+        interleave, exactly as for any read-modify-write client.
+        """
+        deadline = _deadline(timeout)
+        host = self.host(doc)
+        parsed = XQueryEngine({}, policy=getattr(host, "policy", None)).parse(statement)
+        if not parsed.is_update:
+            results = self.query(
+                doc,
+                lambda h: run_statement_query(h, statement),
+                timeout=_remaining(deadline),
+            )
+            return {"results": results}
+        if not isinstance(host, DocumentHost):
+            raise ServiceError(
+                f"{doc!r} is store-hosted; submit relational operations instead "
+                "of update statements"
+            )
+        lock = self._execute_lock(doc)
+        remaining = _remaining(deadline)
+        if not lock.acquire(timeout=-1 if remaining is None else remaining):
+            raise ServiceTimeoutError(f"timed out waiting to execute on {doc!r}")
+        try:
+            with self._locks.read(doc, _remaining(deadline)):
+                working = host.document.copy()
+            delta: list[DeltaOp] = []
+            XQueryEngine({doc: working}, policy=host.policy).execute(
+                parsed, recorder=delta
+            )
+            seq = self.submit_wait(
+                DeltaUpdate(doc, tuple(delta)), timeout=_remaining(deadline)
+            )
+        finally:
+            lock.release()
+        return {"seq": seq, "delta_ops": len(delta)}
+
+    def _execute_lock(self, doc: str) -> threading.Lock:
+        with self._execute_mutex:
+            lock = self._execute_locks.get(doc)
+            if lock is None:
+                lock = self._execute_locks[doc] = threading.Lock()
+            return lock
 
     def flush(self, timeout: Optional[float] = None) -> None:
         """Barrier: everything submitted before this call is durable."""

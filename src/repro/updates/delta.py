@@ -12,10 +12,12 @@ that concrete:
 * :func:`to_json` / :func:`from_json` give deltas a wire format.
 
 Addressing: each operation names its target by a *child-index path*
-from the root (``[2, 0]`` = third child's first child).  Sibling edits
-are emitted right-to-left, so earlier indices stay valid while a delta
-is applied front-to-back — the same bind-before-update discipline the
-update language itself uses.
+from the root (``[2, 0]`` = third child's first child), valid against
+the document as every earlier operation of the delta left it.  ``diff``
+emits sibling edits right-to-left so earlier indices stay valid; an
+:class:`~repro.updates.executor.UpdateExecutor` with a recorder logs
+each primitive's effect with the paths of the moment it ran
+(:func:`node_path`), which is the same guarantee by construction.
 """
 
 from __future__ import annotations
@@ -53,6 +55,13 @@ class InsertNode:
     index: int
     xml: str = ""
     text: str = ""
+
+    @classmethod
+    def of(cls, path: Path, index: int, node: Union[Element, Text]) -> "InsertNode":
+        """The insert that recreates ``node`` at ``index`` under ``path``."""
+        if isinstance(node, Text):
+            return cls(path, index, text=node.value)
+        return cls(path, index, xml=serialize(node, indent=0))
 
 
 @dataclass(frozen=True)
@@ -105,6 +114,18 @@ DeltaOp = Union[
     DeleteNode, InsertNode, SetText, RenameNode,
     SetAttribute, DeleteAttribute, SetReferences, DeleteReferences,
 ]
+
+
+def node_path(node: Union[Element, Text]) -> Path:
+    """The child-index path of ``node`` from the root of its tree, as
+    the tree stands now."""
+    indices: list[int] = []
+    while node.parent is not None:
+        parent = node.parent
+        indices.append(parent.child_index(node))
+        node = parent
+    indices.reverse()
+    return tuple(indices)
 
 
 # ----------------------------------------------------------------------
@@ -172,13 +193,7 @@ def _diff_children(old: Element, new: Element, path: Path, ops: list[DeltaOp]) -
                 ops.append(DeleteNode(path + (index,)))
         if tag in ("insert", "replace"):
             for offset, new_index in enumerate(range(new_lo, new_hi)):
-                node = new.children[new_index]
-                if isinstance(node, Text):
-                    ops.append(InsertNode(path, old_lo + offset, text=node.value))
-                else:
-                    ops.append(
-                        InsertNode(path, old_lo + offset, xml=serialize(node, indent=0))
-                    )
+                ops.append(InsertNode.of(path, old_lo + offset, new.children[new_index]))
     # Matched pairs are visited after the sibling edits above have been
     # applied, so each matched child is addressed at its *final* index:
     # its old index shifted by the net insert/delete count of every

@@ -14,17 +14,51 @@ The executor supports both execution models:
 * ``ordered=False``: positional inserts are rejected; plain inserts may
   place content at any position (this implementation appends, which is
   one legal arbitrary order).
+
+With a ``recorder`` list, each primitive also appends its effect as
+:mod:`repro.updates.delta` operations, addressed by the paths of the
+moment it ran, so replaying the list front to back on a copy of the
+input reproduces the executor's tree:
+
+==============================  ========================================
+primitive                       recorded
+==============================  ========================================
+delete element / PCDATA         ``DeleteNode`` (before the removal)
+delete attribute                ``DeleteAttribute``
+delete / replace IDREF(S),      ``SetReferences`` with the list as it now
+insert reference content,       stands, or ``DeleteReferences`` once it
+insert into an IDREFS list      is gone
+rename element                  ``RenameNode``
+rename attribute,               ``DeleteAttribute`` + ``SetAttribute``
+replace attribute
+rename IDREFS list              ``DeleteReferences`` + ``SetReferences``
+insert / before / after         ``InsertNode`` at the child's final index
+insert attribute                ``SetAttribute``
+replace element / PCDATA        ``DeleteNode`` + ``InsertNode``, one index
+==============================  ========================================
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import Callable, Optional, Union
 
 from repro.errors import DeletedBindingError, UpdateError
 from repro.obs import get_registry
 from repro.updates.binding import enumerate_bindings
 from repro.updates.content import RefContent
+from repro.updates.delta import (
+    DeleteAttribute,
+    DeleteNode,
+    DeleteReferences,
+    DeltaOp,
+    InsertNode,
+    Path as DeltaPath,
+    RenameNode,
+    SetAttribute,
+    SetReferences,
+    node_path,
+)
 from repro.updates.operations import (
     Content,
     Delete,
@@ -82,9 +116,15 @@ class BoundUpdate:
 class UpdateExecutor:
     """Binds and executes update sequences against in-memory documents."""
 
-    def __init__(self, context: XPathContext, ordered: bool = True) -> None:
+    def __init__(
+        self,
+        context: XPathContext,
+        ordered: bool = True,
+        recorder: Optional[list[DeltaOp]] = None,
+    ) -> None:
         self.context = context
         self.ordered = ordered
+        self.recorder = recorder
 
     # ------------------------------------------------------------------
     # Public API
@@ -238,6 +278,37 @@ class UpdateExecutor:
                 f"{role} {node!r} was deleted earlier in this update sequence"
             )
 
+    def _record(
+        self,
+        node: Union[Element, Text],
+        effect: Callable[[DeltaPath], list[DeltaOp]],
+    ) -> None:
+        """When recording, log ``effect`` of the path ``node`` has now."""
+        if self.recorder is not None:
+            self.recorder.extend(effect(node_path(node)))
+
+    def _record_child(self, child: Union[Element, Text], replaced: bool = False) -> None:
+        """Log a child just inserted; with ``replaced``, it took the
+        place of the child that stood at its index."""
+
+        def effect(path: DeltaPath) -> list[DeltaOp]:
+            insert = InsertNode.of(path[:-1], path[-1], child)
+            return [DeleteNode(path), insert] if replaced else [insert]
+
+        self._record(child, effect)
+
+    def _record_references(self, target: Element, name: str) -> None:
+        """Log the IDREFS list ``name`` of ``target`` as it now stands."""
+        reference = target.references.get(name)
+        self._record(
+            target,
+            lambda path: [
+                SetReferences(path, name, tuple(reference.targets))
+                if reference is not None
+                else DeleteReferences(path, name)
+            ],
+        )
+
     def _execute_simple(self, target: Element, step: _BoundSimple) -> None:
         get_registry().counter(f"update.ops.{step.op_kind}").inc()
         if step.op_kind == "delete":
@@ -258,6 +329,7 @@ class UpdateExecutor:
         if isinstance(child, Attribute):
             self._require_member(child.parent is target, child, target)
             target.remove_attribute(child)
+            self._record(target, lambda path: [DeleteAttribute(path, child.name)])
         elif isinstance(child, RefEntry):
             reference = child.parent
             self._require_member(
@@ -266,11 +338,14 @@ class UpdateExecutor:
                 target,
             )
             target.remove_ref_entry(child)
+            self._record_references(target, reference.name)
         elif isinstance(child, Reference):
             self._require_member(child.parent is target, child, target)
             target.remove_reference(child)
+            self._record(target, lambda path: [DeleteReferences(path, child.name)])
         elif isinstance(child, (Element, Text)):
             self._require_member(child.parent is target, child, target)
+            self._record(child, lambda path: [DeleteNode(path)])
             target.remove_child(child)
         else:
             raise UpdateError(f"cannot delete {child!r}")
@@ -281,44 +356,57 @@ class UpdateExecutor:
             raise UpdateError("PCDATA cannot be renamed")
         if isinstance(child, Attribute):
             self._require_member(child.parent is target, child, target)
+            old_name = child.name
             target.rename_attribute(child, new_name)
-        elif isinstance(child, RefEntry):
+            self._record(
+                target,
+                lambda path: [
+                    DeleteAttribute(path, old_name),
+                    SetAttribute(path, new_name, child.value),
+                ],
+            )
+        elif isinstance(child, (RefEntry, Reference)):
             # Per Section 3.2: renaming an individual IDREF renames the
             # entire IDREFS list.
-            reference = child.parent
+            reference = child.parent if isinstance(child, RefEntry) else child
             self._require_member(
                 isinstance(reference, Reference) and reference.parent is target,
                 child,
                 target,
             )
+            old_name = reference.name
             target.rename_reference(reference, new_name)
-        elif isinstance(child, Reference):
-            self._require_member(child.parent is target, child, target)
-            target.rename_reference(child, new_name)
+            self._record(target, lambda path: [DeleteReferences(path, old_name)])
+            self._record_references(target, new_name)
         elif isinstance(child, Element):
             self._require_member(child.parent is target, child, target)
             child.name = new_name
+            self._record(child, lambda path: [RenameNode(path, new_name)])
         else:
             raise UpdateError(f"cannot rename {child!r}")
 
     def _execute_insert(self, target: Element, content: _BoundContent) -> None:
         value = content.value
-        if isinstance(value, str):
-            target.append_child(Text(value))
+        if isinstance(value, (str, Element, Text)):
+            self._record_child(target.append_child(self._materialize_child(value, content)))
         elif isinstance(value, RefContent):
             target.add_reference(value.label, value.target)
+            self._record_references(target, value.label)
         elif isinstance(value, Attribute):
-            target.add_attribute(value.copy())
-        elif isinstance(value, (Element, Text)):
-            target.append_child(value.copy())
+            attribute = target.add_attribute(value.copy())
+            self._record(
+                target, lambda path: [SetAttribute(path, attribute.name, attribute.value)]
+            )
         elif isinstance(value, RefEntry):
             label = content.ref_label or value.label
             if not label:
                 raise UpdateError("cannot insert a detached reference entry without a label")
             target.add_reference(label, value.target)
+            self._record_references(target, label)
         elif isinstance(value, Reference):
             for target_id in value.targets:
                 target.add_reference(value.name, target_id)
+            self._record_references(target, value.name)
         else:
             raise UpdateError(f"cannot insert content {value!r}")
 
@@ -335,6 +423,7 @@ class UpdateExecutor:
             self._require_member(anchor.parent is target, anchor, target)
             new_child = self._materialize_child(value, step.content)
             target.insert_child_relative(anchor, new_child, before=before)
+            self._record_child(new_child)
             return
         if isinstance(anchor, RefEntry):
             reference = anchor.parent
@@ -345,6 +434,7 @@ class UpdateExecutor:
             )
             target_id = self._materialize_ref_target(value, reference.name)
             reference.insert_relative(anchor, target_id, before=before)
+            self._record_references(target, reference.name)
             return
         raise UpdateError(
             f"positional insert anchors must be child elements, PCDATA, or "
@@ -358,12 +448,20 @@ class UpdateExecutor:
             self._require_member(child.parent is target, child, target)
             new_child = self._materialize_child(value, content)
             target.replace_child(child, new_child)
+            self._record_child(new_child, replaced=True)
             return
         if isinstance(child, Attribute):
             self._require_member(child.parent is target, child, target)
             new_attribute = self._materialize_attribute(value)
             target.remove_attribute(child)
             target.add_attribute(new_attribute)
+            self._record(
+                target,
+                lambda path: [
+                    DeleteAttribute(path, child.name),
+                    SetAttribute(path, new_attribute.name, new_attribute.value),
+                ],
+            )
             return
         if isinstance(child, RefEntry):
             reference = child.parent
@@ -380,6 +478,7 @@ class UpdateExecutor:
                 )
             reference.insert_relative(child, target_id, before=True)
             target.remove_ref_entry(child)
+            self._record_references(target, reference.name)
             return
         if isinstance(child, Reference):
             self._require_member(child.parent is target, child, target)
@@ -393,6 +492,7 @@ class UpdateExecutor:
             target.remove_reference(child)
             for target_id in target_ids:
                 target.add_reference(name, target_id)
+            self._record_references(target, name)
             return
         raise UpdateError(f"cannot replace {child!r}")
 

@@ -15,6 +15,7 @@ from typing import Optional, Union
 from repro.errors import UpdateError, XQueryError
 from repro.obs import get_registry, span
 from repro.updates.binding import enumerate_bindings
+from repro.updates.delta import DeltaOp
 from repro.updates.executor import BoundUpdate, UpdateExecutor
 from repro.xmlmodel.model import Document, Element
 from repro.xmlmodel.policy import RefPolicy
@@ -70,8 +71,16 @@ class XQueryEngine:
         with span("xquery.parse"):
             return parse_cached(text, policy=self.policy)
 
-    def execute(self, statement: Union[str, Query]) -> Union[UpdateResult, QueryResult]:
-        """Run a statement; returns an UpdateResult or a QueryResult."""
+    def execute(
+        self,
+        statement: Union[str, Query],
+        *,
+        recorder: Optional[list[DeltaOp]] = None,
+    ) -> Union[UpdateResult, QueryResult]:
+        """Run a statement; returns an UpdateResult or a QueryResult.
+
+        An update appends its effect to ``recorder``, when given, as
+        delta operations (see :class:`UpdateExecutor`)."""
         query = self.parse(statement) if isinstance(statement, str) else statement
         registry = get_registry()
         registry.counter("xquery.statements").inc()
@@ -82,7 +91,7 @@ class XQueryEngine:
         if not query.is_update:
             with span("xquery.return"):
                 return self._execute_return(query, combos, context)
-        executor = UpdateExecutor(context, ordered=self.ordered)
+        executor = UpdateExecutor(context, ordered=self.ordered, recorder=recorder)
         # Phase 1: bind every iteration of every UPDATE clause over the
         # pre-update documents.
         bound: list[BoundUpdate] = []

@@ -37,8 +37,9 @@ def check_integrity(element: Element) -> None:
 
 
 @st.composite
-def operations_for(draw, target: Element):
-    """A random valid operation against ``target``."""
+def operations_for(draw, target: Element, labels=names):
+    """A random valid operation against ``target``; inserted references
+    take their label from ``labels``."""
     choices = ["insert_element", "insert_attr", "insert_ref", "insert_text"]
     if target.child_elements():
         choices += ["delete_child", "rename_child", "replace_child"]
@@ -53,7 +54,7 @@ def operations_for(draw, target: Element):
         name = draw(names.filter(lambda n: n not in target.attributes))
         return Insert(new_attribute(name, draw(texts)))
     if kind == "insert_ref":
-        return Insert(new_ref(draw(names), draw(names)))
+        return Insert(new_ref(draw(labels), draw(names)))
     if kind == "insert_text":
         return Insert(draw(texts))
     if kind == "delete_child":

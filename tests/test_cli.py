@@ -188,6 +188,55 @@ class TestConnectCommand:
         assert "error" in capsys.readouterr().err
 
 
+class TestServeCommand:
+    """`repro serve` without --listen: statements from stdin."""
+
+    INSERT = 'FOR $r IN document("doc.xml")/r UPDATE $r {{ INSERT <{}/> }}'
+    DELETE_K = 'FOR $r IN document("doc.xml")/r, $k IN $r/k UPDATE $r { DELETE $k }'
+
+    @staticmethod
+    def serve(monkeypatch, xml, tmp_path, *lines):
+        import io
+
+        monkeypatch.setattr("sys.stdin", io.StringIO("".join(f"{line}\n" for line in lines)))
+        return main([
+            "serve", "--xml", xml, "--wal", str(tmp_path / "doc.wal"),
+            "--checkpoint-dir", str(tmp_path / "ckpt"),
+        ])
+
+    def test_statements_run_against_the_recovered_document(
+        self, monkeypatch, tmp_path, capsys
+    ):
+        """A checkpoint snapshot restored at startup replaces the hosted
+        document; statements and the banner must see it, not --xml."""
+        xml = tmp_path / "doc.xml"
+        xml.write_text("<r><k/></r>")
+        xml = str(xml)
+        assert self.serve(monkeypatch, xml, tmp_path, self.INSERT.format("a"), ":checkpoint") == 0
+        assert self.serve(monkeypatch, xml, tmp_path, self.DELETE_K) == 0
+        assert self.serve(monkeypatch, xml, tmp_path, self.INSERT.format("b")) == 0
+        capsys.readouterr()
+        assert self.serve(
+            monkeypatch, xml, tmp_path,
+            self.DELETE_K, 'FOR $r IN document("doc.xml")/r RETURN $r',
+        ) == 0
+        captured = capsys.readouterr()
+        assert "(3 elements)" in captured.err
+        assert "0 delta op(s)" in captured.err  # $k is gone: nothing binds
+        assert captured.out.split() == ["<r>", "<a/>", "<b/>", "</r>"]
+
+    def test_read_and_bad_statements(self, monkeypatch, tmp_path, capsys):
+        xml = tmp_path / "doc.xml"
+        xml.write_text("<r><k/></r>")
+        assert self.serve(
+            monkeypatch, str(xml), tmp_path,
+            "FOR $", 'FOR $k IN document("doc.xml")/r/k RETURN $k', ":quit",
+        ) == 0
+        captured = capsys.readouterr()
+        assert captured.out.strip() == "<k/>"
+        assert "error:" in captured.err and "1 result(s)" in captured.err
+
+
 class TestCheckpointCommand:
     """`repro checkpoint` recovers a WAL and takes one checkpoint."""
 

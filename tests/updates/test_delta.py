@@ -5,6 +5,7 @@ import pytest
 from repro.updates.delta import (
     DeleteAttribute,
     DeleteNode,
+    DeleteReferences,
     InsertNode,
     RenameNode,
     SetAttribute,
@@ -91,6 +92,51 @@ class TestDiffBasics:
             'age="32"', 'age="33"'
         ).replace("<city>Philadelphia</city>", "")
         round_trip(BIO_XML, edited, policy=BIO_POLICY)
+
+
+class TestRecordedDelta:
+    """What the executor records is the primitives themselves."""
+
+    @staticmethod
+    def record(text, statement, policy=None):
+        from repro.xquery import XQueryEngine
+
+        document = parse(text, policy=policy)
+        ops = []
+        XQueryEngine({"d.xml": document}, policy=policy).execute(statement, recorder=ops)
+        return ops
+
+    def test_delete_oldest_append_one_is_two_ops(self):
+        """``diff``, aligning siblings by tag, rewrites every sibling's
+        attributes for this; the statement's own effect is two ops."""
+        text = "<r><l>" + "".join(f'<o k="{i}"/>' for i in range(100)) + "</l></r>"
+        ops = self.record(
+            text,
+            'FOR $l IN document("d.xml")/r/l, $o IN $l/o[@k="0"] '
+            'UPDATE $l { DELETE $o, INSERT <o k="100"/> }',
+        )
+        assert ops == [DeleteNode((0, 0)), InsertNode((0,), 99, xml='<o k="100"/>')]
+        after = parse(text)
+        apply_delta(after, ops)
+        assert len(diff(parse(text), after)) == 100
+
+    def test_example_1_deletes_attribute_reference_and_element(self):
+        ops = self.record(
+            BIO_XML,
+            'FOR $p IN document("d.xml")/db/paper, $cat IN $p/@category, '
+            '$bio IN $p/ref(biologist,"smith1"), $ti IN $p/title '
+            "UPDATE $p { DELETE $cat, DELETE $bio, DELETE $ti }",
+            policy=BIO_POLICY,
+        )
+        assert ops == [
+            DeleteAttribute((3,), "category"),
+            DeleteReferences((3,), "biologist"),
+            DeleteNode((3, 0)),
+        ]
+
+    def test_statement_binding_nothing_records_nothing(self):
+        statement = 'FOR $r IN document("d.xml")/r, $x IN $r/x UPDATE $r { DELETE $x }'
+        assert self.record("<r/>", statement) == []
 
 
 class TestWireFormat:
