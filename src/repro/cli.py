@@ -793,7 +793,6 @@ CORE_METRICS = (
     "cache.plan.hits",
     "cache.plan.misses",
     "sql.pool.reads",
-    "sql.pool.refreshes",
 )
 
 

@@ -26,18 +26,22 @@ comparisons).  The wrapper adds what the experiments need:
   lock was the read-path bottleneck;
 * an optional **read-only reader pool**
   (:class:`~repro.relational.pool.ReaderPool`) — N snapshot-consistent
-  connections carrying ``serialize()``-images of the last committed
-  state, so concurrent reads no longer serialise behind the writer's
-  lock.  Writers keep the single counted connection; the pool is
-  enabled per store by :meth:`Database.configure_pool` (the update
-  service does this from its ``readers`` knob).
+  connections reading the writer's committed pages from one
+  WAL-journaled file, so concurrent reads no longer serialise behind
+  the writer's lock.  Writers keep the single counted connection; the
+  pool is enabled per store by :meth:`Database.configure_pool` (the
+  update service does this from its ``readers`` knob).
 """
 
 from __future__ import annotations
 
+import os
+import shutil
 import sqlite3
+import tempfile
 import threading
 import time
+import weakref
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator, Optional, Sequence
@@ -87,31 +91,27 @@ class StatementCounts:
         return self.client + self.trigger_emulation
 
 
-class _WriterTransactionOpen(Exception):
-    """Internal: the writer has an uncommitted transaction, so a pooled
-    snapshot cannot be taken right now (the caller falls back to the
-    locked writer-path read, which sees the in-flight state — the
-    pre-pool semantics)."""
-
-
 class Database:
-    """A SQLite connection with counting and trigger emulation."""
+    """A SQLite connection with counting and trigger emulation.
 
-    def __init__(self, path: str = ":memory:", check_same_thread: bool = False) -> None:
-        self._connection = sqlite3.connect(path, check_same_thread=check_same_thread)
+    The database starts in memory.  The first :meth:`configure_pool`
+    moves it into a WAL-journaled file in a private temporary directory
+    (removed by :meth:`close`, or when the object is collected) so that
+    reader connections can open it too.
+    """
+
+    def __init__(self) -> None:
+        self._connection = sqlite3.connect(":memory:", check_same_thread=False)
         self._connection.execute("PRAGMA foreign_keys = OFF")
         self._lock = threading.RLock()
         self._closed = False
         self.counts = StatementCounts()
         # table name -> list of (sql, params) run after a client DELETE on it.
         self._statement_triggers: dict[str, list[str]] = {}
-        # Committed-state versioning for the reader pool: any statement
-        # that may mutate bumps `_version`; `_current_image` serialises
-        # at most once per version and shares the bytes across readers.
-        self._version = 0
-        self._image: Optional[bytes] = None
-        self._image_version = -1
         self._pool: Optional[ReaderPool] = None
+        # The shared file once pooled, and the finalizer that removes it.
+        self._path: Optional[str] = None
+        self._remove_directory: Optional[weakref.finalize] = None
 
     @property
     def closed(self) -> bool:
@@ -138,15 +138,6 @@ class Database:
         finally:
             self._lock.release()
 
-    def _mark_mutated(self, sql: str) -> None:
-        """Bump the committed-state version unless ``sql`` is a plain
-        SELECT.  Conservative: anything that *might* write (including
-        WITH-prefixed statements, DDL, PRAGMA) invalidates reader
-        snapshots; a spurious bump costs one refresh, a missed bump
-        would serve stale data."""
-        if not sql.lstrip()[:6].lower().startswith("select"):
-            self._version += 1
-
     # ------------------------------------------------------------------
     # Core execution
     # ------------------------------------------------------------------
@@ -154,7 +145,6 @@ class Database:
         """Run one client statement (counted), firing emulated triggers."""
         with self._locked(), span("sql.execute"):
             self.counts.bump_client()
-            self._mark_mutated(sql)
             try:
                 cursor = self._checked_connection().execute(sql, params)
             except sqlite3.Error as error:
@@ -168,7 +158,6 @@ class Database:
         rows = list(rows)
         with self._locked(), span("sql.execute", rows=len(rows)):
             self.counts.bump_client(len(rows))
-            self._mark_mutated(sql)
             try:
                 cursor = self._checked_connection().executemany(sql, rows)
             except sqlite3.Error as error:
@@ -179,7 +168,6 @@ class Database:
         """Run DDL; counted as a single client statement."""
         with self._locked():
             self.counts.bump_client()
-            self._version += 1
             try:
                 self._checked_connection().executescript(script)
             except sqlite3.Error as error:
@@ -206,16 +194,51 @@ class Database:
 
         ``readers`` of 0 disables pooling: :meth:`read_query` falls back
         to the locked writer connection (the pre-pool behaviour).
-        Reconfiguring closes the previous pool after draining it.
+        Enabling it the first time moves the database into its shared
+        file; it stays there when the pool is resized or disabled.
+        Reconfiguring closes the previous pool.
         """
         if readers < 0:
             raise ValueError("readers must be >= 0")
+        if readers and self._path is None:
+            self._share()
         previous = self._pool
-        self._pool = (
-            ReaderPool(readers, self._current_image) if readers else None
-        )
+        self._pool = ReaderPool(readers, self._path) if readers else None
         if previous is not None:
             previous.close()
+
+    def _share(self) -> None:
+        """Move the in-memory database into a WAL-journaled file.
+
+        In WAL mode a reader connection sees the last committed
+        transaction of the file, and neither blocks the writer nor is
+        blocked by it.  The file is scratch space, not a durability
+        mechanism (the update service has its own log and checkpoints),
+        so commits skip the fsync: ``synchronous = OFF``, and the file
+        goes to a RAM-backed directory where there is one, so its page
+        writes never queue behind the disk the service's log syncs to.
+        """
+        directory = tempfile.mkdtemp(prefix="repro-db-", dir=_memory_directory())
+        path = os.path.join(directory, "store.sqlite")
+        shared = sqlite3.connect(path, check_same_thread=False)
+        try:
+            shared.execute("PRAGMA journal_mode = WAL")
+            shared.execute("PRAGMA synchronous = OFF")
+            shared.execute("PRAGMA foreign_keys = OFF")
+            with self._locked():
+                connection = self._checked_connection()
+                connection.commit()
+                connection.backup(shared)
+                connection.close()
+                self._connection = shared
+        except BaseException:
+            shared.close()
+            shutil.rmtree(directory, ignore_errors=True)
+            raise
+        self._path = path
+        self._remove_directory = weakref.finalize(
+            self, shutil.rmtree, directory, ignore_errors=True
+        )
 
     @property
     def pool(self) -> Optional[ReaderPool]:
@@ -225,24 +248,6 @@ class Database:
         """Pool snapshot for ``stats()`` surfaces; None when disabled."""
         return self._pool.stats() if self._pool is not None else None
 
-    def _current_image(self) -> tuple[int, bytes]:
-        """(version, bytes) of the writer's current committed state.
-
-        Serialises at most once per version; raises
-        :class:`_WriterTransactionOpen` when the writer holds an
-        uncommitted transaction (snapshotting then would either publish
-        uncommitted state or commit it out from under the writer).
-        """
-        with self._locked():
-            connection = self._checked_connection()
-            if connection.in_transaction:
-                raise _WriterTransactionOpen()
-            if self._image_version != self._version:
-                self._image = connection.serialize()
-                self._image_version = self._version
-            assert self._image is not None
-            return self._image_version, self._image
-
     def read_query(
         self, sql: str, params: Sequence[Any] = (), timeout: Optional[float] = None
     ) -> list[tuple]:
@@ -250,21 +255,18 @@ class Database:
 
         With a configured pool this executes on a snapshot reader —
         concurrent ``read_query`` calls run genuinely in parallel and
-        never touch the writer lock (beyond a per-version image
-        refresh).  Without a pool, or while the writer holds an open
-        transaction, it falls back to the locked :meth:`query` path, so
-        results always reflect every statement issued so far.
+        never touch the writer lock.  Without a pool, or while the
+        writer holds an open transaction (whose uncommitted state a
+        snapshot would not show), it falls back to the locked
+        :meth:`query` path, so results always reflect every statement
+        issued so far.
         """
         pool = self._pool
-        if pool is not None and not self._closed:
-            try:
-                with span("sql.read"):
-                    rows = pool.query(sql, params, timeout=timeout)
-            except _WriterTransactionOpen:
-                pass  # uncommitted writer state must stay visible to reads
-            else:
-                self.counts.bump_client()
-                return rows
+        if pool is not None and not self._closed and not self._connection.in_transaction:
+            with span("sql.read"):
+                rows = pool.query(sql, params, timeout=timeout)
+            self.counts.bump_client()
+            return rows
         return self.query(sql, params)
 
     # ------------------------------------------------------------------
@@ -295,48 +297,46 @@ class Database:
         with self._locked():
             connection = self._checked_connection()
             connection.commit()
-            return connection.serialize()
+            return _rollback_journal_image(connection.serialize())
 
     def committed_image(self) -> bytes:
         """The last *committed* state as a SQLite image.
 
-        The fuzzy checkpoint's capture hook: shares the reader pool's
-        per-version image cache (one ``serialize()`` per commit, reused
-        across captures and reader refreshes) and — unlike
-        :meth:`dump_bytes` — never issues a commit itself.  If the
-        writer holds an open transaction (impossible under the
-        service's per-document read lock, where the committer's apply
-        is excluded, but possible for standalone callers) it falls back
-        to :meth:`dump_bytes`, which commits and serialises.
+        The fuzzy checkpoint's capture hook.  On a pooled database it
+        serialises a leased snapshot reader, so it never takes the
+        writer lock and never issues a commit: the image is exactly
+        the committed state even while the writer holds an open
+        transaction.  Without a pool it is :meth:`dump_bytes` (under
+        the service's per-document read lock the writer has no open
+        transaction, so the commit there is a no-op).
         """
-        try:
-            _version, image = self._current_image()
-        except _WriterTransactionOpen:
+        pool = self._pool
+        if pool is None:
             return self.dump_bytes()
-        return image
+        with pool.acquire() as connection:
+            try:
+                image = connection.serialize()
+            except sqlite3.Error as error:
+                raise StorageError(f"cannot serialise a snapshot: {error}") from error
+        return _rollback_journal_image(image)
 
     def load_bytes(self, data: bytes) -> None:
         """Replace the database contents with a ``dump_bytes`` image.
 
-        Quiesces the reader pool first (recovery must never swap the
-        image out from under an executing read), and invalidates every
-        pooled snapshot so the next read sees the restored state.
+        The image is copied in with the backup API, which writes it as
+        one transaction: a pooled read running meanwhile keeps the
+        snapshot it started on, and the next lease sees the restored
+        state.
         """
-        pool = self._pool
-        if pool is not None:
-            with pool.quiesce():
-                self._load_bytes_locked(data)
-                pool.invalidate()
-        else:
-            self._load_bytes_locked(data)
-
-    def _load_bytes_locked(self, data: bytes) -> None:
-        with self._locked():
-            self._version += 1
-            try:
-                self._checked_connection().deserialize(data)
-            except sqlite3.Error as error:
-                raise StorageError(f"cannot load database image: {error}") from error
+        source = sqlite3.connect(":memory:")
+        try:
+            source.deserialize(data)
+            with self._locked():
+                source.backup(self._checked_connection())
+        except sqlite3.Error as error:
+            raise StorageError(f"cannot load database image: {error}") from error
+        finally:
+            source.close()
 
     def commit(self) -> None:
         with self._locked():
@@ -356,6 +356,8 @@ class Database:
                 return
             self._closed = True
             self._connection.close()
+        if self._remove_directory is not None:
+            self._remove_directory()
 
     def __enter__(self) -> "Database":
         return self
@@ -400,6 +402,28 @@ class Database:
             # terminate either; cascading delete stops the same way).
             if chained is not None and cursor.rowcount:
                 self._run_trigger_chain(chained)
+
+
+def _memory_directory() -> Optional[str]:
+    """``/dev/shm`` when it is a writable directory (Linux tmpfs), else
+    None: :func:`tempfile.mkdtemp`'s default, ``$TMPDIR`` or ``/tmp``."""
+    shm = "/dev/shm"
+    return shm if os.path.isdir(shm) and os.access(shm, os.W_OK) else None
+
+
+def _rollback_journal_image(image: bytes) -> bytes:
+    """``image`` with its header naming the rollback journal.
+
+    A WAL-mode database serialises with file-format bytes 18–19 set to
+    2, and SQLite cannot open such an image in memory (an in-memory
+    database has no WAL).  Checkpoint images therefore always carry the
+    rollback-journal marks, whichever mode they were taken in.
+    """
+    if image[18:20] != b"\x02\x02":
+        return image
+    patched = bytearray(image)
+    patched[18:20] = b"\x01\x01"
+    return bytes(patched)
 
 
 def _delete_target(sql: str) -> Optional[str]:

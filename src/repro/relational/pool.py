@@ -1,4 +1,4 @@
-"""Snapshot-consistent read-only connection pool over an in-memory store.
+"""Snapshot-consistent read-only connection pool over one store.
 
 The write path scales with group commit; before this module the read
 path did not scale at all — every ``query`` serialised behind the one
@@ -6,28 +6,24 @@ per-store SQLite connection lock in
 :class:`~repro.relational.database.Database`, so the threaded front
 end gained nothing from concurrent clients on read-heavy workloads.
 
-SQLite's in-memory databases are private to their connection, so the
-pool cannot simply open N connections to the same ``:memory:`` store.
-Instead each pooled reader holds its *own* connection carrying a
-``Connection.deserialize``-loaded copy of the writer's last committed
-image (the same page-level image checkpoints persist).  On acquisition
-a reader compares its version stamp against the writer's commit
-version and refreshes lazily — one ``serialize()`` per committed
-version (cached and shared), one ``deserialize()`` per stale reader.
-The C-level work (serialize, deserialize, and statement stepping) all
-releases the GIL, so pooled readers execute genuinely in parallel on
-separate connections, and every reader sees a *snapshot*: all writes
-committed before its acquisition, none of the writer's uncommitted
-in-flight state.
-
-Quiesce (``pool.quiesce()``) blocks new acquisitions and waits for
-in-flight readers to drain; recovery (``Database.load_bytes``) and
-close run under it so an image swap never races an executing read.
+A pooled store lives in one WAL-journaled SQLite file (see
+:meth:`Database.configure_pool`), and each pooled reader is a
+read-only connection to that same file: readers share the writer's
+committed pages instead of holding copies of them.  In WAL mode a
+reader sees the newest committed version without blocking the writer
+or being blocked by it, so nothing is copied per commit and nothing is
+refreshed per reader beyond SQLite dropping a reader's page cache when
+the file has changed.  :meth:`ReaderPool.query` runs one statement,
+which is a snapshot by itself; :meth:`ReaderPool.acquire` leases a
+reader inside a read transaction (:meth:`ReaderPool._refresh`) for
+callers that need several statements to see one version.  Statement
+stepping releases the GIL, so pooled readers execute genuinely in
+parallel on separate connections, and none of them ever sees the
+writer's uncommitted in-flight state.
 
 Instrumentation: ``sql.pool.size`` / ``sql.pool.in_use`` gauges,
-``sql.pool.wait_ms`` (time to get a reader) and ``sql.pool.refresh_ms``
-(snapshot refresh cost) histograms, and ``sql.pool.reads`` /
-``sql.pool.refreshes`` counters.
+``sql.pool.wait_ms`` (time to get a reader) histogram, and the
+``sql.pool.reads`` counter.
 """
 
 from __future__ import annotations
@@ -35,6 +31,7 @@ from __future__ import annotations
 import sqlite3
 import threading
 import time
+from pathlib import Path
 from typing import Any, Optional, Sequence
 
 from repro.errors import StorageError
@@ -42,13 +39,25 @@ from repro.obs import get_registry
 
 
 class _Reader:
-    """One pooled read-only connection plus its snapshot version stamp."""
+    """One pooled read-only connection to the writer's file."""
 
-    __slots__ = ("connection", "version")
+    __slots__ = ("connection",)
 
-    def __init__(self) -> None:
-        self.connection = sqlite3.connect(":memory:", check_same_thread=False)
-        self.version = -1  # never loaded; any writer version is newer
+    def __init__(self, path: str) -> None:
+        self.connection = sqlite3.connect(
+            f"{Path(path).as_uri()}?mode=ro",
+            uri=True,
+            check_same_thread=False,
+            isolation_level=None,  # the only transaction is a lease's
+        )
+
+    def end_lease(self) -> None:
+        """Close the lease's read transaction (releasing its snapshot)."""
+        try:
+            if self.connection.in_transaction:
+                self.connection.execute("ROLLBACK")
+        except sqlite3.Error:
+            pass
 
     def close(self) -> None:
         try:
@@ -58,28 +67,21 @@ class _Reader:
 
 
 class ReaderPool:
-    """A bounded pool of snapshot readers over one writer database.
+    """A bounded pool of snapshot readers over one WAL-mode database file.
 
-    ``image_source`` is a callable returning ``(version, image_bytes)``
-    for the writer's current committed state (the Database provides it;
-    the image is cached per version so N stale readers cost one
-    serialize).  The pool is created closed-over its size; ``close()``
-    is idempotent and drains via quiesce.
+    ``path`` names the file the writer keeps its committed state in.
+    ``close()`` is idempotent; leased readers close as they come back.
     """
 
-    def __init__(self, size: int, image_source) -> None:
+    def __init__(self, size: int, path: str) -> None:
         if size < 1:
             raise ValueError("reader pool size must be >= 1")
         self._size = size
-        self._image_source = image_source
         self._cond = threading.Condition()
-        self._idle: list[_Reader] = [_Reader() for _ in range(size)]
+        self._idle: list[_Reader] = [_Reader(path) for _ in range(size)]
         self._in_use = 0
-        self._quiesced = False
         self._closed = False
-        self._waits = 0
-        registry = get_registry()
-        registry.gauge("sql.pool.size").set(size)
+        get_registry().gauge("sql.pool.size").set(size)
 
     # ------------------------------------------------------------------
     @property
@@ -87,18 +89,30 @@ class ReaderPool:
         return self._size
 
     def acquire(self, timeout: Optional[float] = None) -> "_LeasedReader":
-        """Lease a refreshed snapshot reader (a context manager).
+        """Lease a reader pinned to the newest committed version (a
+        context manager), for callers that run several statements
+        against one snapshot.
 
-        Blocks while the pool is exhausted or quiesced; raises
+        Blocks while the pool is exhausted; raises
         :class:`StorageError` on timeout or once the pool is closed.
         """
+        reader = self._checkout(timeout)
+        try:
+            self._refresh(reader)
+        except BaseException:
+            self._release(reader)
+            raise
+        return _LeasedReader(self, reader)
+
+    def _checkout(self, timeout: Optional[float]) -> _Reader:
+        """Take an idle reader, waiting while the pool is exhausted."""
         started = time.monotonic()
         deadline = None if timeout is None else started + timeout
         with self._cond:
             while True:
                 if self._closed:
                     raise StorageError("reader pool is closed")
-                if not self._quiesced and self._idle:
+                if self._idle:
                     reader = self._idle.pop()
                     self._in_use += 1
                     # Publish while still holding the lock: each set is
@@ -110,7 +124,6 @@ class ReaderPool:
                 if deadline is not None:
                     remaining = deadline - time.monotonic()
                     if remaining <= 0:
-                        self._waits += 1
                         raise StorageError(
                             f"timed out waiting for a pooled reader "
                             f"({self._size} in use)"
@@ -123,31 +136,19 @@ class ReaderPool:
             (time.monotonic() - started) * 1000.0
         )
         registry.counter("sql.pool.reads").inc()
-        try:
-            self._refresh(reader)
-        except BaseException:
-            self._release(reader)
-            raise
-        return _LeasedReader(self, reader)
+        return reader
 
     def _refresh(self, reader: _Reader) -> None:
-        """Load the writer's latest committed image if the reader is stale."""
-        version, image = self._image_source()
-        if reader.version == version:
-            return
-        started = time.monotonic()
+        """Open the lease's read transaction on the newest committed
+        version: the first read inside ``BEGIN`` fixes the snapshot."""
         try:
-            reader.connection.deserialize(image)
+            reader.connection.execute("BEGIN")
+            reader.connection.execute("PRAGMA schema_version").fetchone()
         except sqlite3.Error as error:
-            raise StorageError(f"cannot refresh pooled reader: {error}") from error
-        reader.version = version
-        registry = get_registry()
-        registry.counter("sql.pool.refreshes").inc()
-        registry.histogram("sql.pool.refresh_ms").observe(
-            (time.monotonic() - started) * 1000.0
-        )
+            raise StorageError(f"cannot open a pooled snapshot: {error}") from error
 
     def _release(self, reader: _Reader) -> None:
+        reader.end_lease()
         with self._cond:
             self._in_use -= 1
             # Inside the lock, like acquire: re-reading `_in_use` after
@@ -164,57 +165,21 @@ class ReaderPool:
     def query(
         self, sql: str, params: Sequence[Any] = (), timeout: Optional[float] = None
     ) -> list[tuple]:
-        """Run one read-only statement on a pooled snapshot reader."""
-        with self.acquire(timeout) as connection:
-            try:
-                return connection.execute(sql, params).fetchall()
-            except sqlite3.Error as error:
-                raise StorageError(
-                    f"SQL failed on pooled reader: {error}\n  statement: {sql}"
-                ) from error
+        """Run one read-only statement on a pooled reader.
 
-    # ------------------------------------------------------------------
-    def quiesce(self, timeout: Optional[float] = None) -> "_Quiesce":
-        """Block new acquisitions and wait for in-flight readers to drain.
-
-        Returns a context manager; recovery image swaps run inside it.
+        One statement reads one committed version by itself (SQLite
+        holds a read transaction while it steps), so no lease
+        transaction is opened around it.
         """
-        deadline = None if timeout is None else time.monotonic() + timeout
-        with self._cond:
-            while self._quiesced:
-                # One quiescer at a time; later ones queue here.
-                if not self._wait(deadline):
-                    raise StorageError("timed out waiting to quiesce reader pool")
-            self._quiesced = True
-            while self._in_use:
-                if not self._wait(deadline):
-                    self._quiesced = False
-                    self._cond.notify_all()
-                    raise StorageError(
-                        "timed out draining in-flight pooled readers"
-                    )
-        return _Quiesce(self)
-
-    def _wait(self, deadline: Optional[float]) -> bool:
-        if deadline is None:
-            self._cond.wait()
-            return True
-        remaining = deadline - time.monotonic()
-        if remaining <= 0:
-            return False
-        self._cond.wait(remaining)
-        return True
-
-    def _unquiesce(self) -> None:
-        with self._cond:
-            self._quiesced = False
-            self._cond.notify_all()
-
-    def invalidate(self) -> None:
-        """Force every idle reader to refresh on its next acquisition."""
-        with self._cond:
-            for reader in self._idle:
-                reader.version = -1
+        reader = self._checkout(timeout)
+        try:
+            return reader.connection.execute(sql, params).fetchall()
+        except sqlite3.Error as error:
+            raise StorageError(
+                f"SQL failed on pooled reader: {error}\n  statement: {sql}"
+            ) from error
+        finally:
+            self._release(reader)
 
     def close(self) -> None:
         with self._cond:
@@ -233,7 +198,6 @@ class ReaderPool:
                 "size": self._size,
                 "in_use": self._in_use,
                 "idle": len(self._idle),
-                "quiesced": self._quiesced,
                 "closed": self._closed,
             }
 
@@ -252,16 +216,3 @@ class _LeasedReader:
 
     def __exit__(self, exc_type, exc_value, traceback) -> None:
         self._pool._release(self._reader)
-
-
-class _Quiesce:
-    __slots__ = ("_pool",)
-
-    def __init__(self, pool: ReaderPool) -> None:
-        self._pool = pool
-
-    def __enter__(self) -> "ReaderPool":
-        return self._pool
-
-    def __exit__(self, exc_type, exc_value, traceback) -> None:
-        self._pool._unquiesce()

@@ -132,12 +132,10 @@ class StoreHost:
         wrong rows.  The id allocator's high-water mark lives in a
         table, so it travels with the image.
 
-        Captured via :meth:`Database.committed_image` — the reader
-        pool's version-stamped committed image (one ``serialize()`` per
-        commit, shared with reader refreshes) rather than a fresh dump,
-        so a fuzzy checkpoint's capture under the document's *read*
-        lock costs nothing when the store is unchanged since the last
-        commit and never issues a commit of its own.
+        Captured via :meth:`Database.committed_image`, which serialises
+        a leased snapshot reader: a fuzzy checkpoint's capture under the
+        document's *read* lock never takes the writer's connection lock
+        and never issues a commit of its own.
         """
         return self.store.db.committed_image()
 

@@ -1,5 +1,6 @@
 """The snapshot reader pool and the writer-lock contention histogram."""
 
+import os
 import threading
 import time
 
@@ -48,9 +49,9 @@ class TestReadQuery:
         db.configure_pool(2)
         db.execute('INSERT INTO "t" (id, val) VALUES (99, "pending")')
         assert db._connection.in_transaction
-        # The pool cannot snapshot mid-transaction; the read falls back
-        # to the writer connection and sees the in-flight row (exactly
-        # the pre-pool semantics).
+        # A pooled snapshot would miss the in-flight row, so the read
+        # falls back to the writer connection and sees it (exactly the
+        # pre-pool semantics).
         rows = db.read_query('SELECT val FROM "t" WHERE id = 99')
         assert rows == [("pending",)]
         db.commit()
@@ -63,6 +64,24 @@ class TestReadQuery:
             db.read_query('SELECT COUNT(*) FROM "t"')
         assert db.counts.client == start + 4
 
+    def test_pooled_reads_never_wait_for_the_writer_lock(self, db):
+        """Regression: every pooled read fetched the committed image
+        under the writer's connection lock first, so a read queued
+        behind any long writer statement."""
+        db.configure_pool(1)
+        results = []
+        reader = threading.Thread(
+            target=lambda: results.append(db.read_query('SELECT COUNT(*) FROM "t"'))
+        )
+        assert db._lock.acquire(timeout=5.0)
+        try:
+            reader.start()
+            reader.join(5.0)
+            assert results == [[(5,)]], "the pooled read waited for the writer lock"
+        finally:
+            db._lock.release()
+            reader.join(5.0)
+
 
 class TestSnapshotIsolation:
     def test_leased_reader_is_a_point_in_time_snapshot(self, db):
@@ -74,28 +93,45 @@ class TestSnapshotIsolation:
             # The lease was taken before the commit: it must not see it.
             rows = held.execute('SELECT COUNT(*) FROM "t"').fetchall()
             assert rows == [(5,)]
-        # A fresh acquisition refreshes to the committed image.
+        # A read after the lease sees the commit.
         assert db.read_query('SELECT COUNT(*) FROM "t"') == [(6,)]
 
-    def test_one_serialize_per_version_many_readers(self, db):
+    def test_pooled_reads_see_each_commit(self, db):
         db.configure_pool(3)
-        before = _hist("sql.pool.refresh_ms")["count"]
-        with db.pool.acquire(), db.pool.acquire(), db.pool.acquire():
-            pass
-        # All three readers refreshed (version -1 -> current)...
-        assert _hist("sql.pool.refresh_ms")["count"] == before + 3
-        with db.pool.acquire(), db.pool.acquire(), db.pool.acquire():
-            pass
-        # ...and none refresh again while the version is unchanged.
-        assert _hist("sql.pool.refresh_ms")["count"] == before + 3
+        for value in range(100, 105):
+            db.execute('INSERT INTO "t" (id, val) VALUES (?, "c")', (value,))
+            db.commit()
+            expected = [(value - 100 + 6,)]
+            for _ in range(3):
+                assert db.read_query('SELECT COUNT(*) FROM "t"') == expected
 
-    def test_invalidate_forces_a_refresh(self, db):
+    def test_readers_share_the_writers_file(self, db):
+        db.configure_pool(2)
+        [(_, _, writer_file)] = db.query("PRAGMA database_list")
+        assert writer_file and db.query("PRAGMA journal_mode") == [("wal",)]
+        with db.pool.acquire() as first, db.pool.acquire() as second:
+            for reader in (first, second):
+                [(_, _, reader_file)] = reader.execute("PRAGMA database_list").fetchall()
+                assert reader_file == writer_file
+
+
+class TestCommittedImage:
+    def test_capture_leaves_an_open_transaction_alone(self, db):
+        """Regression: the capture fell back to ``dump_bytes`` while the
+        writer held an open transaction, which committed that
+        transaction and put its uncommitted rows into the image."""
         db.configure_pool(1)
-        db.read_query('SELECT 1 FROM "t" LIMIT 1')
-        before = _hist("sql.pool.refresh_ms")["count"]
-        db.pool.invalidate()
-        db.read_query('SELECT 1 FROM "t" LIMIT 1')
-        assert _hist("sql.pool.refresh_ms")["count"] == before + 1
+        db.execute('INSERT INTO "t" (id, val) VALUES (99, "pending")')
+        image = db.committed_image()
+        assert db._connection.in_transaction
+        db.rollback()
+        assert db.query('SELECT COUNT(*) FROM "t"') == [(5,)]
+        restored = Database()
+        try:
+            restored.load_bytes(image)
+            assert restored.query('SELECT COUNT(*) FROM "t"') == [(5,)]
+        finally:
+            restored.close()
 
 
 class TestPoolLifecycle:
@@ -107,36 +143,25 @@ class TestPoolLifecycle:
         # Releasing the lease makes the reader available again.
         assert db.pool.query('SELECT COUNT(*) FROM "t"') == [(5,)]
 
-    def test_quiesce_blocks_acquisition_until_exit(self, db):
+    def test_load_bytes_keeps_a_held_snapshot(self, db):
         db.configure_pool(2)
-        with db.pool.quiesce():
-            assert db.pool.stats()["quiesced"]
-            with pytest.raises(StorageError, match="timed out"):
-                db.pool.acquire(timeout=0.05)
-        assert not db.pool.stats()["quiesced"]
-        assert db.pool.query('SELECT COUNT(*) FROM "t"') == [(5,)]
+        image = db.dump_bytes()
+        db.execute('DELETE FROM "t"')
+        db.commit()
+        with db.pool.acquire() as held:
+            db.load_bytes(image)
+            # The restore is one write transaction: the lease taken
+            # before it still reads its own version...
+            assert held.execute('SELECT COUNT(*) FROM "t"').fetchall() == [(0,)]
+        # ...and the next lease reads the restored one.
+        assert db.read_query('SELECT COUNT(*) FROM "t"') == [(5,)]
 
-    def test_quiesce_waits_for_in_flight_readers(self, db):
+    def test_close_removes_the_shared_file(self, db):
         db.configure_pool(1)
-        release = threading.Event()
-        entered = threading.Event()
-
-        def hold():
-            with db.pool.acquire():
-                entered.set()
-                release.wait(5.0)
-
-        holder = threading.Thread(target=hold)
-        holder.start()
-        try:
-            assert entered.wait(5.0)
-            with pytest.raises(StorageError, match="draining"):
-                db.pool.quiesce(timeout=0.05)
-        finally:
-            release.set()
-            holder.join(5.0)
-        with db.pool.quiesce():
-            pass  # drains cleanly once the lease is back
+        [(_, _, path)] = db.query("PRAGMA database_list")
+        assert os.path.exists(path)
+        db.close()
+        assert not os.path.exists(os.path.dirname(path))
 
     def test_load_bytes_swaps_the_image_under_quiesce(self, db):
         db.configure_pool(2)
