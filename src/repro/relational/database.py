@@ -315,28 +315,36 @@ class Database:
             return self.dump_bytes()
         with pool.acquire() as connection:
             try:
-                image = connection.serialize()
+                return _rollback_journal_image(connection.serialize())
             except sqlite3.Error as error:
                 raise StorageError(f"cannot serialise a snapshot: {error}") from error
-        return _rollback_journal_image(image)
 
     def load_bytes(self, data: bytes) -> None:
         """Replace the database contents with a ``dump_bytes`` image.
 
-        The image is copied in with the backup API, which writes it as
-        one transaction: a pooled read running meanwhile keeps the
-        snapshot it started on, and the next lease sees the restored
-        state.
+        The image is written to a temporary file in the RAM-backed
+        directory and copied in from there with the backup API, so the
+        process never holds a second in-memory copy of it; the file is
+        removed whether the restore succeeds or not.  The backup writes
+        the image as one transaction: a pooled read running meanwhile
+        keeps the snapshot it started on, and the next lease sees the
+        restored state.
         """
-        source = sqlite3.connect(":memory:")
+        directory = tempfile.mkdtemp(prefix="repro-restore-", dir=_memory_directory())
         try:
-            source.deserialize(data)
-            with self._locked():
-                source.backup(self._checked_connection())
-        except sqlite3.Error as error:
+            path = os.path.join(directory, "image.sqlite")
+            with open(path, "wb") as file:
+                file.write(data)
+            source = sqlite3.connect(path)
+            try:
+                with self._locked():
+                    source.backup(self._checked_connection())
+            finally:
+                source.close()
+        except (sqlite3.Error, OSError) as error:
             raise StorageError(f"cannot load database image: {error}") from error
         finally:
-            source.close()
+            shutil.rmtree(directory, ignore_errors=True)
 
     def commit(self) -> None:
         with self._locked():
@@ -415,15 +423,20 @@ def _rollback_journal_image(image: bytes) -> bytes:
     """``image`` with its header naming the rollback journal.
 
     A WAL-mode database serialises with file-format bytes 18–19 set to
-    2, and SQLite cannot open such an image in memory (an in-memory
-    database has no WAL).  Checkpoint images therefore always carry the
-    rollback-journal marks, whichever mode they were taken in.
+    2, and a restore must not open its image in WAL mode (that needs
+    ``-wal``/``-shm`` side files; an in-memory database has no WAL at
+    all).  Checkpoint images therefore always carry the rollback-journal
+    marks, whichever mode they were taken in.  The header is patched in
+    a single mutable copy, and the serialised original is released
+    before it is returned: a bytes-like result that hashing, file
+    writes and restores all accept.
     """
     if image[18:20] != b"\x02\x02":
         return image
     patched = bytearray(image)
+    del image
     patched[18:20] = b"\x01\x01"
-    return bytes(patched)
+    return patched
 
 
 def _delete_target(sql: str) -> Optional[str]:

@@ -116,8 +116,29 @@ class Relation:
             columns.append(f'"{inlined.column}" {sql_type}')
         return f'CREATE TABLE "{self.name}" ({", ".join(columns)})'
 
-    def create_index_sql(self) -> str:
-        return f'CREATE INDEX "idx_{self.name}_parent" ON "{self.name}" (parentId)'
+    def create_index_sql(self) -> list[str]:
+        """The relation's B-tree indexes: ``parentId`` for structural
+        joins, and one per inlined PCDATA/attribute column so a value
+        predicate (``Customer[Name="John"]``) seeks its matches instead
+        of walking every child of the parent.
+
+        A value index is named ``idx_<table>(<column>)``.  Parentheses
+        cannot occur in an XML name, so the name collides neither with
+        ``idx_<table>_parent`` nor across tables whose names contain
+        underscores.  ``IF NOT EXISTS`` lets a restored checkpoint image
+        taken before the value indexes existed gain them.
+        """
+        statements = [
+            f'CREATE INDEX IF NOT EXISTS "idx_{self.name}_parent" '
+            f'ON "{self.name}" (parentId)'
+        ]
+        for inlined in self.fields:
+            if inlined.kind in (FIELD_PCDATA, FIELD_ATTRIBUTE):
+                statements.append(
+                    f'CREATE INDEX IF NOT EXISTS "idx_{self.name}({inlined.column})" '
+                    f'ON "{self.name}" ("{inlined.column}")'
+                )
+        return statements
 
 
 @dataclass
@@ -200,11 +221,17 @@ class MappingSchema:
     def max_depth(self) -> int:
         return max(self.depth_of(name) for name in self.relations)
 
-    def create_all_sql(self) -> list[str]:
+    def create_index_sql(self) -> list[str]:
+        """Every relation's indexes (idempotent DDL, see
+        :meth:`Relation.create_index_sql`)."""
         statements: list[str] = []
         for relation in self.iter_top_down():
-            statements.append(relation.create_table_sql())
-            statements.append(relation.create_index_sql())
+            statements.extend(relation.create_index_sql())
+        return statements
+
+    def create_all_sql(self) -> list[str]:
+        statements = [relation.create_table_sql() for relation in self.iter_top_down()]
+        statements.extend(self.create_index_sql())
         if self.intervals:
             statements.extend(interval_table_sql())
         return statements

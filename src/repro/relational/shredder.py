@@ -28,7 +28,7 @@ from repro.xmlmodel.model import Document, Element
 
 
 def create_schema(db: Database, schema: MappingSchema) -> None:
-    """Create all tables and parentId indexes of the mapping."""
+    """Create all tables and indexes of the mapping."""
     for statement in schema.create_all_sql():
         db.execute(statement)
 

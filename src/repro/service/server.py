@@ -140,7 +140,14 @@ class StoreHost:
         return self.store.db.committed_image()
 
     def restore_state(self, data: bytes) -> None:
-        self.store.db.load_bytes(data)
+        """Load a checkpoint image, then (re)create the mapping's indexes:
+        an image taken before the value-column indexes existed gains
+        them here, so a restarted service never serves scans."""
+        db = self.store.db
+        db.load_bytes(data)
+        for statement in self.store.schema.create_index_sql():
+            db.execute(statement)
+        db.commit()
 
 
 Host = Union[DocumentHost, StoreHost]
