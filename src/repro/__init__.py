@@ -2,8 +2,9 @@
 
 The library implements the paper end to end:
 
-* an XML data model with IDREF/IDREFS-aware attributes, a from-scratch
-  parser/serializer, and DTD support (:mod:`repro.xmlmodel`);
+* an XML data model with IDREF/IDREFS-aware attributes, a parser (a
+  tree builder over stdlib expat), a serializer, and DTD support
+  (:mod:`repro.xmlmodel`);
 * the primitive update operations of Section 3 with ordered/unordered
   semantics (:mod:`repro.updates`);
 * XQuery with the paper's ``FOR...LET...WHERE...UPDATE`` extensions,
@@ -41,6 +42,7 @@ from repro.errors import (
     ReproError,
     StorageError,
     TranslationError,
+    UnreadableContentError,
     UpdateError,
     ValidationError,
     XmlParseError,
@@ -65,6 +67,7 @@ __all__ = [
     "ReproError",
     "StorageError",
     "TranslationError",
+    "UnreadableContentError",
     "UpdateError",
     "UpdateResult",
     "ValidationError",

@@ -68,6 +68,13 @@ class DeletedBindingError(UpdateError):
     sequence is used by a later operation (other than as content)."""
 
 
+class UnreadableContentError(UpdateError):
+    """Raised when an update would write a character or a name that
+    XML 1.0 cannot carry (a C0 control character in text, an element
+    named ``1bad``): the document's serialization could not be parsed
+    back, so the update is refused before it is logged or applied."""
+
+
 class MappingError(ReproError):
     """Raised when an XML-to-relational mapping cannot be derived or a
     document does not fit the derived schema."""

@@ -18,6 +18,13 @@ emits sibling edits right-to-left so earlier indices stay valid; an
 :class:`~repro.updates.executor.UpdateExecutor` with a recorder logs
 each primitive's effect with the paths of the moment it ran
 (:func:`node_path`), which is the same guarantee by construction.
+
+Every operation that writes text, an attribute value, a reference
+target or a name checks it when the operation is constructed (by a
+client, a recorder, or the WAL and wire decoders): a character outside
+XML 1.0's ``Char`` or a name outside its ``Name`` raises
+:class:`~repro.errors.UnreadableContentError`, so no document reaches a
+log or a snapshot that the parser could not read back.
 """
 
 from __future__ import annotations
@@ -27,13 +34,26 @@ from dataclasses import dataclass
 from difflib import SequenceMatcher
 from typing import Union
 
-from repro.errors import UpdateError
+from repro.errors import UnreadableContentError, UpdateError
 from repro.xmlmodel.model import Document, Element, Text
-from repro.xmlmodel.parser import XmlParser
+from repro.xmlmodel.parser import XmlParser, is_xml_chars, is_xml_name
 from repro.xmlmodel.policy import RefPolicy
 from repro.xmlmodel.serializer import serialize
 
 Path = tuple[int, ...]
+
+
+def _require_chars(op, *values: str) -> None:
+    for value in values:
+        if not is_xml_chars(value):
+            raise UnreadableContentError(
+                f"{type(op).__name__}: {value!r} holds a character XML 1.0 cannot carry"
+            )
+
+
+def _require_name(op, name: str) -> None:
+    if not is_xml_name(name):
+        raise UnreadableContentError(f"{type(op).__name__}: {name!r} is not an XML name")
 
 
 # ----------------------------------------------------------------------
@@ -56,6 +76,9 @@ class InsertNode:
     xml: str = ""
     text: str = ""
 
+    def __post_init__(self) -> None:
+        _require_chars(self, self.text)
+
     @classmethod
     def of(cls, path: Path, index: int, node: Union[Element, Text]) -> "InsertNode":
         """The insert that recreates ``node`` at ``index`` under ``path``."""
@@ -71,6 +94,9 @@ class SetText:
     path: Path
     text: str
 
+    def __post_init__(self) -> None:
+        _require_chars(self, self.text)
+
 
 @dataclass(frozen=True)
 class RenameNode:
@@ -78,6 +104,9 @@ class RenameNode:
 
     path: Path
     name: str
+
+    def __post_init__(self) -> None:
+        _require_name(self, self.name)
 
 
 @dataclass(frozen=True)
@@ -87,6 +116,10 @@ class SetAttribute:
     path: Path
     name: str
     value: str
+
+    def __post_init__(self) -> None:
+        _require_name(self, self.name)
+        _require_chars(self, self.value)
 
 
 @dataclass(frozen=True)
@@ -102,6 +135,10 @@ class SetReferences:
     path: Path
     name: str
     targets: tuple[str, ...]
+
+    def __post_init__(self) -> None:
+        _require_name(self, self.name)
+        _require_chars(self, *self.targets)
 
 
 @dataclass(frozen=True)

@@ -1,110 +1,68 @@
-"""A from-scratch XML 1.0 subset parser producing model trees.
+"""Parse XML text into model trees: a tree builder over stdlib expat.
 
-Supported syntax: the XML declaration, comments, processing
-instructions, a ``<!DOCTYPE ...>`` with an optional internal DTD subset
-(handed to :mod:`repro.xmlmodel.dtd`), elements with attributes,
-self-closing tags, CDATA sections, character references (decimal and
-hex), and the five predefined entities.
+:mod:`pyexpat` tokenizes the input, checks that it is well-formed
+XML 1.0, and expands character references and the five predefined
+entities.  :class:`XmlParser` turns expat's start-tag, end-tag and
+character-data events into :class:`~repro.xmlmodel.model.Element` and
+:class:`~repro.xmlmodel.model.Text` nodes, and adds these rules:
 
-Unsupported (raises :class:`~repro.errors.XmlParseError`): external
-entities, parameter entities in document content, namespaces-as-scoping
-(colons in names are allowed but treated as opaque characters).
+* character data is buffered up to the next element boundary, so text
+  split by a comment, a processing instruction or a CDATA section
+  becomes one ``Text`` node, and a parse never yields adjacent text;
+* whitespace-only text is dropped unless ``preserve_space=True``; this
+  matches how the paper's documents are written (pretty-printed
+  element content);
+* attributes are classified as ID, IDREF, IDREFS or CDATA by the
+  :class:`~repro.xmlmodel.policy.RefPolicy`; without a given policy it
+  is derived from the internal DTD subset if there is one;
+* the internal DTD subset is sliced out of the input between expat's
+  DOCTYPE start and end events and handed whole to
+  :mod:`repro.xmlmodel.dtd`; the result is ``document.dtd``.
 
-Whitespace-only text between elements is dropped unless
-``preserve_space=True``; this matches how the paper's documents are
-written (pretty-printed element content).
+Refused with :class:`~repro.errors.XmlParseError`: entity declarations
+(so no entity is ever expanded), external DTD subsets (``SYSTEM`` /
+``PUBLIC``), references to undeclared entities, and any input that is
+not well-formed XML 1.0, which includes C0 control characters, even
+written as character references.  Namespaces are not processed: a
+colon is an ordinary name character.
+
+:func:`is_xml_chars` and :func:`is_xml_name` tell whether a string can
+be written as character data or as a name and read back by this parser.
 """
 
 from __future__ import annotations
 
+import re
 from typing import Optional
+
+import pyexpat
+from pyexpat import errors as expat_errors
 
 from repro.errors import XmlParseError
 from repro.xmlmodel import dtd as dtd_module
 from repro.xmlmodel.model import Document, Element, Text
-from repro.xmlmodel.policy import ATTR_ID, ATTR_IDREF, ATTR_IDREFS, RefPolicy
+from repro.xmlmodel.policy import ATTR_IDREF, ATTR_IDREFS, RefPolicy
 
-_PREDEFINED_ENTITIES = {
-    "amp": "&",
-    "lt": "<",
-    "gt": ">",
-    "quot": '"',
-    "apos": "'",
+# Every character outside the XML 1.0 ``Char`` production.
+_NON_CHAR = re.compile("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
+
+_CODES = expat_errors.codes
+_MESSAGES = {
+    _CODES[expat_errors.XML_ERROR_JUNK_AFTER_DOC_ELEMENT]: "content after the root element",
+    _CODES[expat_errors.XML_ERROR_DUPLICATE_ATTRIBUTE]: "duplicate attribute",
+    _CODES[expat_errors.XML_ERROR_UNCLOSED_TOKEN]: "unterminated markup",
+    _CODES[expat_errors.XML_ERROR_UNCLOSED_CDATA_SECTION]: "unterminated CDATA section",
+    _CODES[expat_errors.XML_ERROR_BAD_CHAR_REF]: "bad character reference",
 }
-
-_NAME_START_EXTRA = "_:"
-_NAME_EXTRA = "_:-."
-
-
-def _is_name_start(ch: str) -> bool:
-    return ch.isalpha() or ch in _NAME_START_EXTRA
-
-
-def _is_name_char(ch: str) -> bool:
-    return ch.isalnum() or ch in _NAME_EXTRA
-
-
-class _Scanner:
-    """Character cursor with line/column tracking over the input text."""
-
-    def __init__(self, text: str) -> None:
-        self.text = text
-        self.pos = 0
-
-    def location(self) -> tuple[int, int]:
-        consumed = self.text[: self.pos]
-        line = consumed.count("\n") + 1
-        column = self.pos - (consumed.rfind("\n") + 1) + 1
-        return line, column
-
-    def error(self, message: str) -> XmlParseError:
-        line, column = self.location()
-        return XmlParseError(message, line=line, column=column)
-
-    def at_end(self) -> bool:
-        return self.pos >= len(self.text)
-
-    def peek(self, offset: int = 0) -> str:
-        index = self.pos + offset
-        return self.text[index] if index < len(self.text) else ""
-
-    def startswith(self, token: str) -> bool:
-        return self.text.startswith(token, self.pos)
-
-    def advance(self, count: int = 1) -> str:
-        chunk = self.text[self.pos : self.pos + count]
-        self.pos += count
-        return chunk
-
-    def expect(self, token: str) -> None:
-        if not self.startswith(token):
-            raise self.error(f"expected {token!r}")
-        self.pos += len(token)
-
-    def skip_whitespace(self) -> None:
-        while not self.at_end() and self.peek().isspace():
-            self.pos += 1
-
-    def read_until(self, token: str, description: str) -> str:
-        end = self.text.find(token, self.pos)
-        if end == -1:
-            raise self.error(f"unterminated {description}: missing {token!r}")
-        chunk = self.text[self.pos : end]
-        self.pos = end + len(token)
-        return chunk
-
-    def read_name(self) -> str:
-        if self.at_end() or not _is_name_start(self.peek()):
-            raise self.error("expected a name")
-        start = self.pos
-        self.pos += 1
-        while not self.at_end() and _is_name_char(self.peek()):
-            self.pos += 1
-        return self.text[start : self.pos]
+_TAG_MISMATCH = _CODES[expat_errors.XML_ERROR_TAG_MISMATCH]
+_NO_ELEMENTS = _CODES[expat_errors.XML_ERROR_NO_ELEMENTS]
+_UNDEFINED_ENTITY = _CODES[expat_errors.XML_ERROR_UNDEFINED_ENTITY]
+_INVALID_TOKEN = _CODES[expat_errors.XML_ERROR_INVALID_TOKEN]
+_ENTITY_NAME = re.compile(rb"&([^;\s<&]*);")
 
 
 class XmlParser:
-    """Recursive-descent parser; one instance parses one document."""
+    """Tree builder over expat; one instance parses one document."""
 
     def __init__(
         self,
@@ -112,221 +70,163 @@ class XmlParser:
         policy: Optional[RefPolicy] = None,
         preserve_space: bool = False,
     ) -> None:
-        self._scanner = _Scanner(text)
+        self._source = text
         self._policy = policy
         self._preserve_space = preserve_space
         self._dtd: Optional[dtd_module.Dtd] = None
+        self._subset_start = -1
+        self._root: Optional[Element] = None
+        self._open: list[Element] = []
+        self._text: list[str] = []
 
     def parse(self) -> Document:
-        """Parse the full document and return a :class:`Document`.
-
-        If no policy was given and the document carries an internal DTD,
-        the policy is derived from the DTD's ATTLIST declarations.
-        """
-        self._parse_prolog()
-        if self._policy is None:
-            if self._dtd is not None:
-                self._policy = RefPolicy.from_dtd(self._dtd)
-            else:
-                self._policy = RefPolicy.default()
-        scanner = self._scanner
-        scanner.skip_whitespace()
-        if not scanner.startswith("<"):
-            raise scanner.error("expected root element")
-        root = self._parse_element()
-        self._parse_misc_trailer()
-        document = Document(root, id_attribute=self._policy.id_attribute)
+        """Parse the full document and return a :class:`Document`."""
+        # Lone surrogates pass through encoding so expat reports them as
+        # an invalid token at their position.
+        self._data = self._source.encode("utf-8", "surrogatepass")
+        self._expat = expat = pyexpat.ParserCreate(encoding="utf-8")
+        expat.buffer_text = True
+        expat.specified_attributes = True  # DTD defaults are not materialised
+        expat.StartDoctypeDeclHandler = self._start_doctype
+        expat.EndDoctypeDeclHandler = self._end_doctype
+        expat.EntityDeclHandler = self._refuse_entity
+        expat.SkippedEntityHandler = self._skipped_entity
+        expat.StartElementHandler = self._start_element
+        expat.EndElementHandler = self._end_element
+        expat.CharacterDataHandler = self._text.append
+        try:
+            expat.Parse(self._data, True)
+        except pyexpat.ExpatError as error:
+            raise self._translate(error) from None
+        finally:
+            # The handlers are bound methods of this builder: drop the
+            # cycle so the expat parser is freed without waiting for
+            # the cyclic garbage collector.
+            self._expat = None
+        document = Document(self._root, id_attribute=self._policy.id_attribute)
         document.dtd = self._dtd  # type: ignore[attr-defined]
         return document
 
     # ------------------------------------------------------------------
-    # Prolog / misc
+    # Prolog
     # ------------------------------------------------------------------
-    def _parse_prolog(self) -> None:
-        scanner = self._scanner
-        scanner.skip_whitespace()
-        if scanner.startswith("<?xml"):
-            scanner.read_until("?>", "XML declaration")
-        while True:
-            scanner.skip_whitespace()
-            if scanner.startswith("<!--"):
-                scanner.advance(4)
-                scanner.read_until("-->", "comment")
-            elif scanner.startswith("<!DOCTYPE"):
-                self._parse_doctype()
-            elif scanner.startswith("<?"):
-                scanner.advance(2)
-                scanner.read_until("?>", "processing instruction")
-            else:
-                return
+    def _start_doctype(self, name, system_id, public_id, has_internal_subset) -> None:
+        if system_id is not None or public_id is not None:
+            raise self._error("external DTD subsets are not supported")
+        if has_internal_subset:
+            # Reported with the position of the subset's opening '['.
+            self._subset_start = self._expat.CurrentByteIndex + 1
 
-    def _parse_doctype(self) -> None:
-        scanner = self._scanner
-        scanner.expect("<!DOCTYPE")
-        scanner.skip_whitespace()
-        scanner.read_name()  # document element name; not enforced here
-        scanner.skip_whitespace()
-        if scanner.startswith("SYSTEM") or scanner.startswith("PUBLIC"):
-            raise scanner.error("external DTD subsets are not supported")
-        if scanner.startswith("["):
-            scanner.advance(1)
-            subset = scanner.read_until("]", "internal DTD subset")
-            self._dtd = dtd_module.parse_dtd(subset)
-            scanner.skip_whitespace()
-        scanner.expect(">")
+    def _end_doctype(self) -> None:
+        if self._subset_start < 0:
+            return
+        # Reported with the position of the DOCTYPE's closing '>'.
+        end = self._data.rindex(b"]", self._subset_start, self._expat.CurrentByteIndex)
+        self._dtd = dtd_module.parse_dtd(self._data[self._subset_start : end].decode("utf-8"))
 
-    def _parse_misc_trailer(self) -> None:
-        scanner = self._scanner
-        while True:
-            scanner.skip_whitespace()
-            if scanner.at_end():
-                return
-            if scanner.startswith("<!--"):
-                scanner.advance(4)
-                scanner.read_until("-->", "comment")
-            elif scanner.startswith("<?"):
-                scanner.advance(2)
-                scanner.read_until("?>", "processing instruction")
-            else:
-                raise scanner.error("content after the root element")
+    def _refuse_entity(self, name, is_parameter_entity, *_) -> None:
+        raise self._error(f"entity declarations are not supported: {name!r}")
+
+    def _skipped_entity(self, name, is_parameter_entity) -> None:
+        prefix = "%" if is_parameter_entity else "&"
+        raise self._error(f"unknown entity {prefix}{name};")
 
     # ------------------------------------------------------------------
     # Elements and content
     # ------------------------------------------------------------------
-    def _parse_element(self) -> Element:
-        scanner = self._scanner
-        scanner.expect("<")
-        name = scanner.read_name()
-        element = Element(name)
-        self._parse_attributes(element)
-        if scanner.startswith("/>"):
-            scanner.advance(2)
-            return element
-        scanner.expect(">")
-        self._parse_content(element)
-        closing = scanner.read_name()
-        if closing != name:
-            raise scanner.error(
-                f"mismatched closing tag: expected </{name}>, found </{closing}>"
+    def _start_element(self, name: str, attributes: dict[str, str]) -> None:
+        if self._text:
+            self._flush_text()
+        policy = self._policy
+        if policy is None:
+            policy = self._policy = (
+                RefPolicy.from_dtd(self._dtd) if self._dtd is not None else RefPolicy.default()
             )
-        scanner.skip_whitespace()
-        scanner.expect(">")
-        return element
-
-    def _parse_attributes(self, element: Element) -> None:
-        scanner = self._scanner
-        assert self._policy is not None
-        while True:
-            scanner.skip_whitespace()
-            if scanner.at_end() or scanner.peek() in "/>":
-                return
-            attr_name = scanner.read_name()
-            scanner.skip_whitespace()
-            scanner.expect("=")
-            scanner.skip_whitespace()
-            value = self._parse_attribute_value()
-            kind = self._policy.classify(element.name, attr_name)
-            if kind in (ATTR_IDREF, ATTR_IDREFS):
+        element = Element(name)
+        for attr_name, value in attributes.items():
+            if policy.classify(name, attr_name) in (ATTR_IDREF, ATTR_IDREFS):
                 for target in value.split():
                     element.add_reference(attr_name, target)
             else:
                 # IDs are stored as plain attributes; Document indexes them.
-                if attr_name in element.attributes:
-                    raise scanner.error(
-                        f"duplicate attribute {attr_name!r} on element <{element.name}>"
-                    )
                 element.set_attribute(attr_name, value)
-                del kind  # ATTR_ID vs ATTR_CDATA both stored identically
+        if self._open:
+            parent = self._open[-1]
+            element.parent = parent
+            parent.children.append(element)
+        else:
+            self._root = element
+        self._open.append(element)
 
-    def _parse_attribute_value(self) -> str:
-        scanner = self._scanner
-        quote = scanner.peek()
-        if quote not in "\"'":
-            raise scanner.error("expected a quoted attribute value")
-        scanner.advance(1)
-        raw = scanner.read_until(quote, "attribute value")
-        if "<" in raw:
-            raise scanner.error("'<' is not allowed inside an attribute value")
-        return self._expand_entities(raw)
+    def _end_element(self, name: str) -> None:
+        if self._text:
+            self._flush_text()
+        self._open.pop()
 
-    def _parse_content(self, element: Element) -> None:
-        scanner = self._scanner
-        text_parts: list[str] = []
-
-        def flush_text() -> None:
-            if not text_parts:
-                return
-            value = "".join(text_parts)
-            text_parts.clear()
-            if self._preserve_space or value.strip():
-                element.append_child(Text(value))
-
-        while True:
-            if scanner.at_end():
-                raise scanner.error(f"unexpected end of input inside <{element.name}>")
-            if scanner.startswith("</"):
-                flush_text()
-                scanner.advance(2)
-                return
-            if scanner.startswith("<!--"):
-                flush_text()
-                scanner.advance(4)
-                scanner.read_until("-->", "comment")
-            elif scanner.startswith("<![CDATA["):
-                # CDATA content is literal: no entity expansion applies.
-                scanner.advance(9)
-                text_parts.append(scanner.read_until("]]>", "CDATA section"))
-            elif scanner.startswith("<?"):
-                flush_text()
-                scanner.advance(2)
-                scanner.read_until("?>", "processing instruction")
-            elif scanner.startswith("<"):
-                flush_text()
-                element.append_child(self._parse_element())
-            elif scanner.peek() == "&":
-                scanner.advance(1)
-                entity = scanner.read_until(";", "entity reference")
-                text_parts.append(self._resolve_entity(entity))
-            else:
-                text_parts.append(scanner.advance(1))
+    def _flush_text(self) -> None:
+        value = "".join(self._text)
+        self._text.clear()
+        if self._preserve_space or value.strip():
+            parent = self._open[-1]
+            text = Text(value)
+            text.parent = parent
+            parent.children.append(text)
 
     # ------------------------------------------------------------------
-    # Entities
+    # Errors
     # ------------------------------------------------------------------
-    def _expand_entities(self, raw: str) -> str:
-        if "&" not in raw:
-            return raw
-        parts: list[str] = []
-        index = 0
-        while index < len(raw):
-            ch = raw[index]
-            if ch != "&":
-                parts.append(ch)
-                index += 1
-                continue
-            end = raw.find(";", index + 1)
-            if end == -1:
-                raise self._scanner.error("unterminated entity reference")
-            entity = raw[index + 1 : end]
-            parts.append(self._resolve_entity(entity))
-            index = end + 1
-        return "".join(parts)
+    def _error(self, message: str) -> XmlParseError:
+        expat = self._expat
+        return XmlParseError(
+            message, line=expat.CurrentLineNumber, column=expat.CurrentColumnNumber + 1
+        )
 
-    def _resolve_entity(self, entity: str) -> str:
-        if entity.startswith("#x") or entity.startswith("#X"):
-            try:
-                return chr(int(entity[2:], 16))
-            except ValueError:
-                raise self._scanner.error(f"bad character reference &{entity};") from None
-        if entity.startswith("#"):
-            try:
-                return chr(int(entity[1:]))
-            except ValueError:
-                raise self._scanner.error(f"bad character reference &{entity};") from None
-        expansion = _PREDEFINED_ENTITIES.get(entity)
-        if expansion is None:
-            raise self._scanner.error(f"unknown entity &{entity};")
-        return expansion
+    def _translate(self, error: pyexpat.ExpatError) -> XmlParseError:
+        """The :class:`XmlParseError` for an expat error, with its 1-based
+        line and column."""
+        code = error.code
+        message = _MESSAGES.get(code) or expat_errors.messages[code]
+        at = self._expat.ErrorByteIndex
+        if code == _TAG_MISMATCH:
+            message = f"mismatched closing tag: expected </{self._open[-1].name}>"
+        elif code == _NO_ELEMENTS:
+            message = (
+                f"unexpected end of input inside <{self._open[-1].name}>"
+                if self._open
+                else "expected root element"
+            )
+        elif code == _UNDEFINED_ENTITY:
+            match = _ENTITY_NAME.match(self._data, at)
+            name = match.group(1).decode("utf-8", "replace") if match else ""
+            message = f"unknown entity &{name};"
+        elif code == _INVALID_TOKEN and self._data[at : at + 1] == b"<":
+            tag = self._data[self._data.rfind(b"<", 0, at) : at]
+            if b">" not in tag and (tag.count(b'"') % 2 or tag.count(b"'") % 2):
+                message = "'<' is not allowed inside an attribute value"
+        return XmlParseError(message, line=error.lineno, column=error.offset + 1)
+
+
+def is_xml_chars(value: str) -> bool:
+    """Whether every character of ``value`` is an XML 1.0 ``Char``: text
+    and attribute values the serializer writes out parse back only then."""
+    return _NON_CHAR.search(value) is None
+
+
+def is_xml_name(name: str) -> bool:
+    """Whether ``name`` parses back as an element or attribute name.
+
+    Expat is the judge: it implements the XML 1.0 ``Name`` production
+    with the character classes of the 4th edition, which are narrower
+    than the 5th edition's for some non-ASCII letters.
+    """
+    seen: list[str] = []
+    probe = pyexpat.ParserCreate(encoding="utf-8")
+    probe.StartElementHandler = lambda element, _: seen.append(element)
+    try:
+        probe.Parse(f"<{name}/>".encode("utf-8", "surrogatepass"), True)
+    except pyexpat.ExpatError:
+        return False
+    return seen == [name]
 
 
 def parse(
