@@ -4,7 +4,7 @@ in document size.
 
 Runs :mod:`repro.bench.mapping_bench` once per session and records the
 results under the ``"mapping"`` key of ``BENCH_service.json`` at the
-repository root (the service series in the same file are preserved).
+repository root.
 """
 
 import os

@@ -119,67 +119,6 @@ def run_table2(runs: int, full: bool) -> dict[str, list]:
     return results
 
 
-def run_service() -> list:
-    from repro.bench.service_bench import run_service_benchmark
-
-    master = build_fixed_store(SyntheticParams(400, 3, 2))
-    master.set_delete_method("per_statement_trigger")
-    try:
-        points = run_service_benchmark(master)
-    finally:
-        master.close()
-    return [point.as_measurement() for point in points]
-
-
-def run_recovery() -> list:
-    from repro.bench.service_bench import run_recovery_benchmark
-
-    return [point.as_measurement() for point in run_recovery_benchmark()]
-
-
-def run_net(smoke: bool = False) -> list:
-    from repro.bench.service_bench import (
-        run_async_net_benchmark,
-        run_net_benchmark,
-    )
-
-    if smoke:
-        # Loopback liveness check (CI): tiny fixed work, and a small
-        # connection sweep exercising the asyncio server.
-        points = run_net_benchmark(ops=24)
-        pipeline, connection = run_async_net_benchmark(
-            depths=(1, 16),
-            pipeline_ops=48,
-            connection_counts=(50,),
-            pings=10,
-        )
-    else:
-        points = run_net_benchmark()
-        pipeline, connection = run_async_net_benchmark()
-    for point in points:
-        print(
-            f"  net[{point.transport}]: {point.ops_per_second:.0f} ops/s "
-            f"p50={point.p50_ms:.2f}ms p99={point.p99_ms:.2f}ms"
-        )
-    for point in pipeline:
-        print(
-            f"  net[pipeline depth={point.depth}]: "
-            f"{point.ops_per_second:.0f} ops/s "
-            f"p50={point.p50_ms:.2f}ms p99={point.p99_ms:.2f}ms"
-        )
-    for point in connection:
-        print(
-            f"  net[connections={point.connections}]: "
-            f"connect={point.connect_seconds:.2f}s "
-            f"ping p50={point.ping_p50_ms:.2f}ms "
-            f"p99={point.ping_p99_ms:.2f}ms"
-        )
-    return [
-        point.as_measurement()
-        for point in [*points, *pipeline, *connection]
-    ]
-
-
 def run_mapping(smoke: bool = False, json_path: str | None = None) -> list:
     from repro.bench.mapping_bench import run_mapping_benchmark, save_mapping_results
 
@@ -197,72 +136,6 @@ def run_mapping(smoke: bool = False, json_path: str | None = None) -> list:
     return [point.as_measurement() for point in points]
 
 
-def run_read(smoke: bool = False) -> list:
-    from repro.bench.service_bench import run_read_benchmark
-
-    master = build_fixed_store(SyntheticParams(400, 3, 1))
-    master.set_delete_method("per_statement_trigger")
-    try:
-        if smoke:
-            # Loopback liveness check (CI): tiny fixed work, TCP only.
-            points = run_read_benchmark(
-                master, threads_series=(1, 2), transports=("tcp",), cycles=4
-            )
-        else:
-            points = run_read_benchmark(master)
-    finally:
-        master.close()
-    for point in points:
-        print(
-            f"  read[{point.transport} x{point.threads}]: "
-            f"{point.read_ops_per_second:.0f} reads/s "
-            f"p50={point.p50_ms:.2f}ms p99={point.p99_ms:.2f}ms "
-            f"parse-hit={point.parse_hit_rate:.0%} "
-            f"plan-hit={point.plan_hit_rate:.0%} "
-            f"pool-reads={point.pool_reads}"
-        )
-    return [point.as_measurement() for point in points]
-
-
-def run_checkpoint(smoke: bool = False) -> list:
-    from repro.bench.service_bench import (
-        DEFAULT_CHECKPOINT_OPS,
-        run_checkpoint_benchmark,
-    )
-
-    points = run_checkpoint_benchmark(ops=32 if smoke else DEFAULT_CHECKPOINT_OPS)
-    for point in points:
-        print(
-            f"  checkpoint[{point.mode}]: "
-            f"{point.ops_per_second:.0f} ops/s "
-            f"p50={point.p50_ms:.2f}ms p99={point.p99_ms:.2f}ms "
-            f"checkpoints={point.checkpoints} "
-            f"snapshotted={point.docs_snapshotted} "
-            f"carried={point.docs_carried}"
-        )
-    return [point.as_measurement() for point in points]
-
-
-def run_shards(smoke: bool = False, json_path: str | None = None) -> list:
-    from repro.bench.service_bench import run_shards_benchmark, save_shards_results
-
-    if smoke:
-        # Liveness check (CI): two tiny clusters, enough to prove the
-        # router + worker processes round-trip end to end.
-        points = run_shards_benchmark(shard_counts=(1, 2), ops=48, docs=4, depth=2)
-    else:
-        points = run_shards_benchmark()
-    if json_path:
-        save_shards_results(json_path, points)
-    for point in points:
-        print(
-            f"  shards[{point.shards}] (cpus={point.cpus}): "
-            f"{point.ops_per_second:.0f} ops/s "
-            f"p50={point.p50_ms:.2f}ms p99={point.p99_ms:.2f}ms"
-        )
-    return [point.as_measurement() for point in points]
-
-
 EXPERIMENTS = {
     "fig6": ("Figure 6: delete, bulk (f=1, d=8)", "sf"),
     "fig7": ("Figure 7: delete, random (f=1, d=8)", "sf"),
@@ -273,13 +146,7 @@ EXPERIMENTS = {
     "sec72": ("Section 7.2: ASR path expressions", "path len"),
     "sec73": ("Section 7.3: randomized synthetic", "-"),
     "table2": ("Table 2: DBLP", "-"),
-    "service": ("Service: group-commit delete throughput", "batch"),
-    "recovery": ("Service: cold recovery time vs WAL length", "ops"),
-    "net": ("Service: transports, pipeline depths, connection scaling", "x"),
-    "read": ("Service: read-path thread scaling (caches + reader pool)", "threads"),
-    "checkpoint": ("Service: submit latency during fuzzy checkpoints", "ops"),
     "mapping": ("Ablation: interval vs inlining/edge/attribute mappings", "-"),
-    "shards": ("Service: shard-per-core router write scaling", "shards"),
 }
 
 
@@ -291,8 +158,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--smoke",
         action="store_true",
-        help="tiny liveness sizes (read: 2 loopback points, 4 cycles; "
-        "net: short sweeps + a 50-connection async fleet)",
+        help="tiny fixed-work sizes for the mapping series (a liveness check)",
     )
     parser.add_argument("--runs", type=int, default=5,
                         help="runs per point (first discarded; default 5)")
@@ -340,22 +206,9 @@ def main(argv=None) -> int:
     if "table2" in selected:
         for title, measurements in run_table2(args.runs, args.full).items():
             emit(title, "-", measurements)
-    if "service" in selected:
-        emit(*EXPERIMENTS["service"], run_service())
-    if "recovery" in selected:
-        emit(*EXPERIMENTS["recovery"], run_recovery())
-    if "net" in selected:
-        emit(*EXPERIMENTS["net"], run_net(smoke=args.smoke))
-    if "read" in selected:
-        emit(*EXPERIMENTS["read"], run_read(smoke=args.smoke))
-    if "checkpoint" in selected:
-        emit(*EXPERIMENTS["checkpoint"], run_checkpoint(smoke=args.smoke))
     if "mapping" in selected:
         emit(*EXPERIMENTS["mapping"],
              run_mapping(smoke=args.smoke, json_path=args.json))
-    if "shards" in selected:
-        emit(*EXPERIMENTS["shards"],
-             run_shards(smoke=args.smoke, json_path=args.json))
     if tracer is not None:
         tracer.stop_capture()
         written = tracer.write_json(args.trace_out)

@@ -20,8 +20,8 @@ Three series over the same fixed synthetic documents:
   reconstruction path — the paper's argument against it).
 
 Results land under the ``"mapping"`` key of ``BENCH_service.json`` via
-:func:`save_mapping_results` (read-modify-write, so the service series
-in the same file survive).
+:func:`save_mapping_results` (read-modify-write, so other series in the
+same file survive).
 """
 
 from __future__ import annotations
@@ -296,8 +296,8 @@ def run_mapping_benchmark(smoke: bool = False) -> list[MappingPoint]:
 
 
 def save_mapping_results(path: str, points: list[MappingPoint]) -> None:
-    """Merge the mapping series into ``BENCH_service.json`` without
-    disturbing the service/recovery/net/read series already there."""
+    """Merge the mapping series into ``path`` (``BENCH_service.json``)
+    without disturbing any other series already there."""
     payload = {}
     if os.path.exists(path):
         with open(path, "r", encoding="utf-8") as handle:

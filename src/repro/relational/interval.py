@@ -380,10 +380,6 @@ class IntervalIndex:
         if self.count() == 0:
             self._index_all()
 
-    def rebuild(self) -> None:
-        self.db.execute(f"DELETE FROM {INTERVAL_TABLE}")
-        self._index_all()
-
     def _index_all(self) -> None:
         by_parent: dict[int, list[int]] = {}
         root_ids: list[int] = []
@@ -421,10 +417,6 @@ class IntervalIndex:
     # ------------------------------------------------------------------
     # Range lookups
     # ------------------------------------------------------------------
-    def range_of(self, node_id: int) -> tuple[int, int]:
-        pre, post, _level = self.space.bounds(node_id)
-        return pre, post
-
     def ranges_for(self, id_select_sql: str,
                    params: Sequence = ()) -> list[tuple[int, int]]:
         """Merged (pre, post) ranges of the ids a subquery selects."""
@@ -438,39 +430,6 @@ class IntervalIndex:
     # ------------------------------------------------------------------
     # Maintenance
     # ------------------------------------------------------------------
-    def delete_ranges(self, ranges: Sequence[tuple[int, int]]) -> None:
-        if len(ranges) <= MAX_RANGES_PER_DELETE and self._truncate_if_dominant(ranges):
-            return
-        for chunk in _chunks(ranges, MAX_RANGES_PER_DELETE):
-            predicate, params = range_predicate(chunk)
-            self.db.execute(
-                f"DELETE FROM {INTERVAL_TABLE} WHERE {predicate}", params
-            )
-
-    def _truncate_if_dominant(self, ranges: Sequence[tuple[int, int]]) -> bool:
-        """When the ranges cover almost the whole index, re-inserting the
-        few survivors after a table truncation beats maintaining both
-        ordinal indexes through a near-total range delete."""
-        predicate, params = range_predicate(ranges)
-        inside = self.db.query_one(
-            f"SELECT COUNT(*) FROM {INTERVAL_TABLE} WHERE {predicate}", params
-        )[0]
-        if self.count() - inside > SURVIVOR_TRUNCATE_LIMIT:
-            return False
-        survivors = self.db.query(
-            f"SELECT id, pre, post, level FROM {INTERVAL_TABLE} "
-            f"WHERE NOT ({predicate})",
-            params,
-        )
-        self.db.execute(f"DELETE FROM {INTERVAL_TABLE}")
-        if survivors:
-            self.db.executemany(
-                f"INSERT INTO {INTERVAL_TABLE} (id, pre, post, level) "
-                "VALUES (?, ?, ?, ?)",
-                survivors,
-            )
-        return True
-
     def register_append(self, node_id: int, parent_id: int,
                         slots: int = 2) -> None:
         """Index ``node_id`` as the new last child of ``parent_id``.

@@ -158,12 +158,6 @@ class OrderedStore:
     def ordered_child_ids(self, parent_id: int) -> list[int]:
         return [tuple_id for tuple_id, _pos in self.child_positions(parent_id)]
 
-    def position_of(self, tuple_id: int) -> Optional[int]:
-        row = self.db.query_one(
-            f"SELECT pos FROM {ORDER_TABLE} WHERE id = ?", (tuple_id,)
-        )
-        return row[0] if row else None
-
     # ------------------------------------------------------------------
     # Order-aware mutations
     # ------------------------------------------------------------------

@@ -160,13 +160,6 @@ class MappingSchema:
         except KeyError:
             raise MappingError(f"no relation named {name!r} in this mapping") from None
 
-    def relation_for_tag(self, tag: str) -> Optional[Relation]:
-        """The relation anchored at element tag ``tag``, if any."""
-        for relation in self.relations.values():
-            if relation.tag == tag:
-                return relation
-        return None
-
     def child_relations(self, name: str) -> list[Relation]:
         return [self.relations[child] for child in self.relation(name).children]
 
@@ -208,15 +201,6 @@ class MappingSchema:
             current = self.relation(current.parent)
             depth += 1
         return depth
-
-    def path_to(self, name: str) -> list[Relation]:
-        """Relations from the root down to (and including) ``name``."""
-        chain: list[Relation] = []
-        current: Optional[Relation] = self.relation(name)
-        while current is not None:
-            chain.append(current)
-            current = self.relations[current.parent] if current.parent else None
-        return list(reversed(chain))
 
     def max_depth(self) -> int:
         return max(self.depth_of(name) for name in self.relations)

@@ -19,7 +19,7 @@ Quick start::
     service.close()
 """
 
-from repro.service.batcher import BatcherStats, GroupCommitBatcher, Ticket
+from repro.service.batcher import GroupCommitBatcher, Ticket
 from repro.service.faults import (
     FaultInjector,
     FaultPlan,
@@ -68,7 +68,6 @@ from repro.service.wal import WalRecord, WriteAheadLog, wal_exists
 __all__ = [
     "AsyncNetServer",
     "AsyncServiceClient",
-    "BatcherStats",
     "CheckpointManifest",
     "CheckpointReport",
     "CommitMarker",

@@ -35,7 +35,6 @@ from collections import deque
 from concurrent.futures import Future
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional, Sequence
 
 from repro.errors import ServiceClosedError, ServiceTimeoutError
@@ -96,21 +95,6 @@ class Ticket:
         return self.future.result()
 
 
-@dataclass
-class BatcherStats:
-    """Counters exposed for benchmarks and tests."""
-
-    submitted: int = 0
-    applied: int = 0
-    failed: int = 0
-    batches: int = 0
-    syncs: int = 0
-    largest_batch: int = 0
-    _lock: threading.Lock = field(
-        default_factory=threading.Lock, repr=False, compare=False
-    )
-
-
 class GroupCommitBatcher:
     """A bounded queue drained by one committer thread."""
 
@@ -149,7 +133,6 @@ class GroupCommitBatcher:
         #: unapplied record at or below its sample (see
         #: ``UpdateService._checkpoint_inner``'s safe-advance rule).
         self._inflight_docs: frozenset[str] = frozenset()
-        self.stats = BatcherStats()
         self._thread = threading.Thread(
             target=self._run, name="group-commit", daemon=True
         )
@@ -185,8 +168,6 @@ class GroupCommitBatcher:
             self._queue.append(ticket)
             self._submitted += 1
             get_registry().gauge("batcher.queue_depth").set(len(self._queue))
-            with self.stats._lock:
-                self.stats.submitted += 1
             self._cond.notify_all()
         get_registry().counter("batcher.submitted").inc()
         return ticket
@@ -372,8 +353,6 @@ class GroupCommitBatcher:
                 with span("wal.append", records=len(ops)):
                     seqs = self._log(ops)
             except Exception as error:  # WAL failure: nothing was applied
-                with self.stats._lock:
-                    self.stats.failed += len(batch)
                 registry.counter("batcher.ops.failed").inc(len(batch))
                 for ticket in batch:
                     ticket._fail(error)
@@ -396,19 +375,12 @@ class GroupCommitBatcher:
             try:
                 self._wal.append(encode_op(CommitMarker(tuple(committed))))
                 self._wal.sync()
-                with self.stats._lock:
-                    self.stats.syncs += 1
             except Exception as error:
                 errors = [err if err is not None else error for err in errors]
         # Count before resolving: a client that sees its ack and then
         # reads `stats` must never find fewer applied ops than acks.
         failed = sum(err is not None for err in errors)
         applied = len(batch) - failed
-        with self.stats._lock:
-            self.stats.applied += applied
-            self.stats.failed += failed
-            self.stats.batches += 1
-            self.stats.largest_batch = max(self.stats.largest_batch, len(batch))
         registry.counter("batcher.batches").inc()
         registry.counter("batcher.ops.applied").inc(applied)
         if failed:

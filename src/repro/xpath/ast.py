@@ -99,12 +99,6 @@ class Path:
     start: Start
     steps: tuple[Step, ...] = ()
 
-    def is_relative(self) -> bool:
-        return isinstance(self.start, ContextStart)
-
-    def with_start(self, start: Start) -> "Path":
-        return Path(start, self.steps)
-
 
 # ----------------------------------------------------------------------
 # Predicate / WHERE expressions

@@ -12,7 +12,7 @@ from repro.errors import (
     ServiceError,
     ServiceTimeoutError,
 )
-from repro.obs import get_registry
+from repro.obs import counter_delta, get_registry
 from repro.obs.metrics import Counter
 from repro.service import ServiceConfig, SubtreeCopy, SubtreeDelete, UpdateService
 from repro.service.batcher import GroupCommitBatcher
@@ -88,6 +88,29 @@ class TestCoalescing:
             store1.close()
             store64.close()
 
+    def test_statement_count_falls_with_batch_size(self, master):
+        """Deletes queued while the committer is paused drain in batches of
+        ``batch_size``, and each batch issues one client DELETE."""
+        counts = {}
+        for batch_size in (1, 8, 64):
+            store = master.snapshot()
+            ids = subtree_ids(store, 24)
+            store.db.counts.reset()
+            service = UpdateService(ServiceConfig(batch_size=batch_size))
+            service.host_store("db.xml", store)
+            service.start()
+            with service._batcher.paused(timeout=5):
+                tickets = [
+                    service.submit(SubtreeDelete("db.xml", "n1", (subtree_id,)))
+                    for subtree_id in ids
+                ]
+            for ticket in tickets:
+                ticket.wait(5)
+            counts[batch_size] = store.db.counts.client
+            service.close()
+            store.close()
+        assert counts == {1: 24, 8: 3, 64: 1}
+
     def test_copy_coalescing_preserves_content(self, master):
         store = master.snapshot()
         root_id = store.db.query_one('SELECT id FROM "root"')[0]
@@ -119,6 +142,7 @@ class TestCoalescing:
         before = store.db.query_one('SELECT COUNT(*) FROM "n1"')[0]
         applied = get_registry().counter("batcher.ops.applied")
         applied_before = applied.value
+        metrics_before = get_registry().snapshot()
         service = UpdateService(ServiceConfig(batch_size=64))
         service.host_store("db.xml", store)
         service.start()
@@ -130,7 +154,8 @@ class TestCoalescing:
             ]
         for ticket in tickets:
             ticket.wait(5)
-        assert service._batcher.stats.batches == 1
+        metrics_after = get_registry().snapshot()
+        assert counter_delta(metrics_before, metrics_after, "batcher.batches") == 1
         service.close()
         after = store.db.query_one('SELECT COUNT(*) FROM "n1"')[0]
         store.close()
@@ -442,7 +467,8 @@ class TestQueueDiscipline:
     def test_counts_move_before_any_ticket_resolves(self, monkeypatch):
         """Failing before: ``_commit_batch`` resolved every ticket and
         only then counted the batch, so a client that saw its ack and
-        then asked for ``stats`` could read applied < acked."""
+        then asked for ``stats`` could read applied < acked.  The whole
+        batch is counted in one step, before the first ticket resolves."""
         batcher = GroupCommitBatcher(lambda ops, seqs: [None] * len(ops), max_batch=8)
         # Queued before the committer starts: one batch of three.
         tickets = [batcher.submit(SubtreeDelete("d", "n1", (i,))) for i in range(3)]
@@ -451,9 +477,7 @@ class TestQueueDiscipline:
 
         def recording_inc(counter, amount=1):
             if counter.name == "batcher.ops.applied":
-                seen.append(
-                    ([ticket.done for ticket in tickets], batcher.stats.applied)
-                )
+                seen.append(([ticket.done for ticket in tickets], amount))
             original_inc(counter, amount)
 
         monkeypatch.setattr(Counter, "inc", recording_inc)

@@ -427,9 +427,7 @@ class TestConnectionScale:
     def test_hundreds_of_idle_connections_one_task_each(self, aserved):
         """Idle connections are cheap tasks, not threads: a fleet far
         past any thread-per-connection budget stays connected and the
-        server still serves.  (The 1000-connection acceptance sweep
-        runs in the net bench; this is the in-suite smoke of the same
-        property.)"""
+        server still serves."""
         _service, server = aserved
         fleet_size = 300
 

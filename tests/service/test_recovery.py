@@ -8,6 +8,8 @@ snapshot; the result must be byte-identical (via the serializer) to a
 reference run that applied the same committed deltas synchronously.
 """
 
+import os
+
 import pytest
 
 from repro.service import (
@@ -119,6 +121,28 @@ class TestCrashRecovery:
         with WriteAheadLog(crashed_wal) as wal:
             replay_into_documents(wal, {DOC: second})
         assert serialize(first) == serialize(second)
+
+
+class TestLogLength:
+    def test_replay_work_tracks_log_length(self, tmp_path):
+        """Without a checkpoint, recovery replays the whole history: every
+        committed op applies exactly once, and a longer history is a
+        longer log (contrast ``test_checkpoint_bounds_the_log``)."""
+        sizes = []
+        for ops in (4, 8, 16):
+            wal_path = str(tmp_path / f"history-{ops}.wal")
+            service = UpdateService(ServiceConfig(wal_path=wal_path))
+            service.host_document(DOC, parse_base())
+            service.start()
+            for index in range(ops):
+                service.submit_wait(DeltaUpdate(DOC, (SetAttribute((), f"k{index}", "v"),)))
+            service.close()
+            with WriteAheadLog(wal_path) as wal:
+                sizes.append(sum(os.path.getsize(path) for path in wal.segment_paths))
+                report = replay_into_documents(wal, {DOC: parse_base()})
+            assert report.applied == ops
+            assert report.failed == 0
+        assert sizes[0] < sizes[1] < sizes[2]
 
 
 class TestRecoveryMetrics:
