@@ -73,6 +73,11 @@ MAX_RANGES_PER_CASE = 48
 #: windows re-resolved after a concurrent renumber before giving up
 _MAX_RENUMBER_ATTEMPTS = 16
 
+#: A descendant step lowers to OR'd range predicates only while the
+#: outer selection resolves to at most this many subtree windows;
+#: larger selections fall back to the parentId-chain plan.
+MAX_INTERVAL_WINDOWS = 16
+
 
 def merge_ranges(rows: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
     """Drop ranges nested inside an earlier one (input sorted by pre).
@@ -353,7 +358,13 @@ class IntervalIndex:
 
     One row per relation-anchored tuple (the granularity updates and
     deletes operate at), regardless of which relation holds the tuple.
+    As the interval store's side table it spends the index on both
+    paths: reconstruction orders by ``pre`` and descendant steps lower
+    to range predicates (:meth:`resolver`).
     """
+
+    #: ``pre`` orders the whole document, so top-level results sort too.
+    positions_global = True
 
     def __init__(self, db: Database, schema: MappingSchema,
                  gap: Optional[int] = None) -> None:
@@ -364,6 +375,7 @@ class IntervalIndex:
         self.space = OrdinalAllocator(
             db, INTERVAL_TABLE, gap if gap is not None else schema.interval_gap
         )
+        self._reported_renumbers = 0
 
     @property
     def renumber_events(self) -> int:
@@ -552,6 +564,65 @@ class IntervalIndex:
             f"DELETE FROM {INTERVAL_TABLE} WHERE id NOT IN ({union})"
         )
         return cursor.rowcount
+
+    # ------------------------------------------------------------------
+    # Side-table hooks (called by XmlStore)
+    # ------------------------------------------------------------------
+    def after_load(self) -> None:
+        """Nothing to do: the shredder writes a loaded document's rows
+        itself (``schema.intervals``)."""
+
+    def place(self, new_id: int, anchor_id: int, parent_id: int,
+              before: bool, size: int) -> None:
+        """Splice ``new_id`` in next to ``anchor_id``, reserving interior
+        room for its ``size``-tuple subtree (its descendants are
+        append-indexed inside it by :meth:`after_write`)."""
+        if before:
+            self.register_before(new_id, anchor_id, slots=2 * size)
+        else:
+            self.register_after(new_id, anchor_id, slots=2 * size)
+
+    def after_write(self, inserted: bool = True, deleted: bool = True) -> bool:
+        """Append-index new tuples and sweep deleted ones; True when a
+        renumbering moved ordinals since the last call (cached plans bake
+        resolved windows in as literals, so they went stale)."""
+        if inserted:
+            self.index_new()
+        if deleted:
+            self.sweep_deleted()
+        moved = self.renumber_events != self._reported_renumbers
+        self._reported_renumbers = self.renumber_events
+        return moved
+
+    def positions(self) -> dict[int, int]:
+        return dict(self.db.query(f"SELECT id, pre FROM {INTERVAL_TABLE}"))
+
+    def resolver(self, relation, conditions, params, next_relation):
+        """Descendant-step lowering for query translation: rewrites a
+        relation-to-relation descendant step as pre/post range predicates
+        (None falls back to the parentId-chain plan)."""
+        where = " AND ".join(f"({c})" for c in conditions)
+        sql = (
+            f"SELECT n.pre, n.post FROM {INTERVAL_TABLE} n WHERE n.id IN "
+            f'(SELECT id FROM "{relation.name}"'
+            + (f" WHERE {where})" if where else ")")
+        )
+        windows = self.db.query(sql, params)
+        if not windows or len(windows) > MAX_INTERVAL_WINDOWS:
+            return None
+        predicate = " OR ".join("(pre > ? AND pre < ?)" for _ in windows)
+        condition = (
+            f'"{next_relation.name}".id IN '
+            f"(SELECT id FROM {INTERVAL_TABLE} WHERE {predicate})"
+        )
+        window_params: list[int] = []
+        for pre, post in windows:
+            window_params.extend((pre, post))
+        return [condition], window_params
+
+    def configure_like(self, other: "IntervalIndex") -> None:
+        """Take ``other``'s ordinal gap (a snapshot copies its store's)."""
+        self.space.gap = other.space.gap
 
     def validate(self) -> None:
         """Sanity check used by tests: every tuple indexed, child

@@ -1,9 +1,9 @@
 """An interval-indexed :class:`XmlStore` (the tentpole of the fourth
 mapping).
 
-``IntervalXmlStore`` keeps the ``node_interval`` side table
-(:mod:`repro.relational.interval`) in sync across the store's whole
-lifecycle and spends it on both paths:
+``IntervalXmlStore`` is an :class:`XmlStore` with the ``node_interval``
+side table (:mod:`repro.relational.interval`) plugged in; the store
+keeps it in sync across its whole lifecycle and spends it on both paths:
 
 * **reads** — relation-to-relation descendant steps in query
   translation lower to pre/post range predicates (the XPath-accelerator
@@ -12,7 +12,8 @@ lifecycle and spends it on both paths:
 * **writes** — ``INSERT <x/> BEFORE/AFTER $y`` splices into the gapped
   ordinal space; the interval delete/insert strategies maintain the
   index with range statements; everything else is caught by an
-  append-index / sweep pass after each update statement.
+  append-index / sweep pass after each update statement or direct
+  subtree operation.
 
 Resolved (pre, post) windows are baked into translated plans as
 literals, so a renumbering — which moves ordinals — invalidates cached
@@ -23,77 +24,10 @@ in the ``cache.plan.invalidations.*`` metrics).
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Optional
 
-from repro.errors import TranslationError
-from repro.obs import get_registry
-from repro.relational.delete_methods import IntervalRangeDelete
-from repro.relational.insert_methods import IntervalCopyInsert
-from repro.relational.interval import INTERVAL_TABLE, IntervalIndex
-from repro.relational.plan_cache import contains_rename
-from repro.relational.shredder import _Shredder, shred_element
+from repro.relational.interval import IntervalIndex
 from repro.relational.store import XmlStore
-from repro.relational.update_translate import TupleBinding, UpdateTranslator
-from repro.updates.operations import InsertBefore
-from repro.xmlmodel.model import Element
-from repro.xquery.ast import Query
-
-#: A descendant step lowers to OR'd range predicates only while the
-#: outer selection resolves to at most this many subtree windows;
-#: larger selections fall back to the parentId-chain plan.
-MAX_INTERVAL_WINDOWS = 16
-
-
-class _IntervalTranslator(UpdateTranslator):
-    """UpdateTranslator that splices positional inserts into the
-    interval index (mirrors the ordered store's translator)."""
-
-    def __init__(self, index: IntervalIndex, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self._index = index
-
-    def _execute_positional(self, env, target, operation) -> None:
-        anchor = self._operand_binding(env, operation.anchor)
-        content = operation.content
-        if isinstance(anchor, TupleBinding) and isinstance(content, Element):
-            self._positional_tuple_insert(anchor, content, operation)
-            return
-        super()._execute_positional(env, target, operation)
-
-    def _positional_tuple_insert(self, anchor, content, operation) -> None:
-        anchor_rows = self._selection_rows(anchor.selection)
-        if not anchor_rows:
-            return
-        before = isinstance(operation, InsertBefore)
-        anchor_relation = self.schema.relation(anchor.selection.relation)
-        if anchor_relation.parent is None:
-            raise TranslationError("cannot insert siblings of the document root")
-        parent_relation = self.schema.relation(anchor_relation.parent)
-        content_relation = None
-        for child_name in parent_relation.children:
-            child = self.schema.relation(child_name)
-            if child.tag == content.name:
-                content_relation = child
-                break
-        if content_relation is None:
-            raise TranslationError(
-                f"element <{content.name}> cannot be stored as a sibling of "
-                f"{anchor_relation.name!r} tuples"
-            )
-        # Reserve interior room for the whole spliced subtree: the root
-        # row is registered here; its descendant tuples are append-indexed
-        # inside the root's interval by the store's post-statement sync.
-        counter = _Shredder(self.schema, self.allocator)
-        slots = 2 * counter._count_tuples(content, content_relation)
-        for anchor_id, parent_id in anchor_rows:
-            new_id = shred_element(
-                self.db, self.schema, content_relation, content,
-                parent_id, self.allocator,
-            )
-            if before:
-                self._index.register_before(new_id, anchor_id, slots=slots)
-            else:
-                self._index.register_after(new_id, anchor_id, slots=slots)
 
 
 class IntervalXmlStore(XmlStore):
@@ -105,7 +39,7 @@ class IntervalXmlStore(XmlStore):
         if interval_gap is not None:
             schema.interval_gap = interval_gap
         super().__init__(schema, *args, **kwargs)
-        self._interval_index = IntervalIndex(self.db, self.schema)
+        self._interval_index = self._side_table = IntervalIndex(self.db, self.schema)
         # Adopting a database whose tuples predate the index (or predate
         # this subclass) still yields a usable store.
         self._interval_index.ensure_populated()
@@ -113,125 +47,6 @@ class IntervalXmlStore(XmlStore):
     @property
     def interval(self) -> IntervalIndex:
         return self._interval_index
-
-    @classmethod
-    def from_dtd(
-        cls,
-        dtd,
-        root=None,
-        db=None,
-        document_name: str = "doc.xml",
-        strict_order: bool = False,
-        interval_gap: Optional[int] = None,
-    ) -> "IntervalXmlStore":
-        from repro.relational.inlining import derive_inlining_schema
-        from repro.xmlmodel.dtd import parse_dtd
-        from repro.xmlmodel.policy import RefPolicy
-
-        parsed = parse_dtd(dtd) if isinstance(dtd, str) else dtd
-        schema = derive_inlining_schema(parsed, root=root)
-        return cls(
-            schema,
-            db=db,
-            document_name=document_name,
-            policy=RefPolicy.from_dtd(parsed),
-            strict_order=strict_order,
-            interval_gap=interval_gap,
-        )
-
-    # ------------------------------------------------------------------
-    # Statement execution
-    # ------------------------------------------------------------------
-    def execute(self, statement: Union[str, Query]) -> Optional[list[Element]]:
-        query = self.parse(statement) if isinstance(statement, str) else statement
-        if not query.is_update:
-            # Pass the original text through so the plan cache keeps its key.
-            return self.query(statement if isinstance(statement, str) else query)
-        get_registry().counter("store.updates").inc()
-        events_before = self.interval.renumber_events
-        translator = _IntervalTranslator(
-            self.interval,
-            self.db,
-            self.schema,
-            self.allocator,
-            self._delete_method,
-            self._insert_method,
-            strict_order=self.strict_order,
-            document_name=self.document_name,
-        )
-        try:
-            translator.execute_update(query)
-        except Exception:
-            self.db.rollback()
-            raise
-        self.warnings.extend(translator.warnings)
-        self._sync_interval()
-        if contains_rename(query):
-            self.plan_cache.bump_generation("rename")
-        self._bump_if_renumbered(events_before)
-        return None
-
-    def _sync_interval(self) -> None:
-        """Bring the index back in line after an update statement:
-        append-index spliced/copied tuples, sweep deleted ones."""
-        self.interval.index_new()
-        self.interval.sweep_deleted()
-
-    def _bump_if_renumbered(self, events_before: int) -> None:
-        if self.interval.renumber_events != events_before:
-            # Renumbering moved ordinals that cached plans bake in as
-            # literal window bounds — same staleness class as Rename.
-            self.plan_cache.bump_generation("renumber")
-
-    # ------------------------------------------------------------------
-    # Read path
-    # ------------------------------------------------------------------
-    # ``pre`` ordinals order the whole document, not just siblings, so
-    # top-level query results are sorted by them too.
-    _positions_global = True
-
-    def _order_positions(self) -> dict[int, int]:
-        return dict(self.db.query(f"SELECT id, pre FROM {INTERVAL_TABLE}"))
-
-    def _interval_resolver(self):
-        def resolve(relation, conditions, params, next_relation):
-            where = " AND ".join(f"({c})" for c in conditions)
-            sql = (
-                f"SELECT n.pre, n.post FROM {INTERVAL_TABLE} n WHERE n.id IN "
-                f'(SELECT id FROM "{relation.name}"'
-                + (f" WHERE {where})" if where else ")")
-            )
-            windows = self.db.query(sql, params)
-            if not windows or len(windows) > MAX_INTERVAL_WINDOWS:
-                return None  # fall back to the parentId-chain plan
-            predicate = " OR ".join("(pre > ? AND pre < ?)" for _ in windows)
-            condition = (
-                f'"{next_relation.name}".id IN '
-                f"(SELECT id FROM {INTERVAL_TABLE} WHERE {predicate})"
-            )
-            window_params: list[int] = []
-            for pre, post in windows:
-                window_params.extend((pre, post))
-            return [condition], window_params
-
-        return resolve
-
-    # ------------------------------------------------------------------
-    # Direct (benchmark/service-facing) operations
-    # ------------------------------------------------------------------
-    def delete_subtrees(self, relation, where_sql="", params=()) -> None:
-        events_before = self.interval.renumber_events
-        super().delete_subtrees(relation, where_sql, params)
-        if not isinstance(self._delete_method, IntervalRangeDelete):
-            self.interval.sweep_deleted()
-        self._bump_if_renumbered(events_before)
-
-    def copy_subtrees(self, relation, where_sql, params, new_parent_id) -> None:
-        events_before = self.interval.renumber_events
-        super().copy_subtrees(relation, where_sql, params, new_parent_id)
-        if not isinstance(self._insert_method, IntervalCopyInsert):
-            self.interval.index_new()
-        self._bump_if_renumbered(events_before)
 
     def interval_stats(self) -> dict:
         return {

@@ -17,14 +17,17 @@ the sketch plus the two classic maintenance policies:
 
 :class:`OrderedStore` keeps one ``doc_order`` side table
 (tuple id → parent id → position) next to any inlining-mapped store, so
-the unordered schema and all of Section 6's strategies keep working;
-order-aware reads sort child tuples by position, and the ablation
-benchmark ``benchmarks/test_ablation_order.py`` compares the policies'
-push costs.
+the unordered schema and all of Section 6's strategies keep working.
+It is one of the store's two side tables (the other is
+:class:`~repro.relational.interval.IntervalIndex`): ``XmlStore`` calls
+its hooks after loads and writes, for positional splices and for
+order-aware reads.  The ablation benchmark
+``benchmarks/test_ablation_order.py`` compares the policies' push costs.
 """
 
 from __future__ import annotations
 
+import copy
 from typing import Optional, Sequence
 
 from repro.errors import StorageError
@@ -109,6 +112,11 @@ class OrderedStore:
     DTD already fixes where they belong).
     """
 
+    #: Positions order siblings per parent, not the whole document.
+    positions_global = False
+    #: No descendant lowering: positions say nothing about depth.
+    resolver = None
+
     def __init__(self, store: XmlStore, policy: Optional[OrderPolicy] = None) -> None:
         self.store = store
         self.db = store.db
@@ -192,3 +200,45 @@ class OrderedStore:
         self.db.execute(
             f"DELETE FROM {ORDER_TABLE} WHERE id NOT IN ({union})"
         )
+
+    def index_new(self) -> None:
+        """Give append positions to tuples inserted without an explicit
+        position (plain INSERTs and strategy copies)."""
+        for relation in self.store.schema.iter_top_down():
+            if relation.parent is None:
+                continue
+            rows = self.db.query(
+                f'SELECT id, parentId FROM "{relation.name}" WHERE id NOT IN '
+                f"(SELECT id FROM {ORDER_TABLE})"
+            )
+            for tuple_id, parent_id in sorted(rows):
+                self.register_append(tuple_id, parent_id)
+
+    # ------------------------------------------------------------------
+    # Side-table hooks (called by XmlStore)
+    # ------------------------------------------------------------------
+    def after_load(self) -> None:
+        self.index_existing()
+
+    def place(self, new_id: int, anchor_id: int, parent_id: int,
+              before: bool, size: int) -> None:
+        """Splice ``new_id`` in next to its sibling ``anchor_id``."""
+        index = self.ordered_child_ids(parent_id).index(anchor_id)
+        self.register_insert(new_id, parent_id, index if before else index + 1)
+
+    def after_write(self, inserted: bool = True, deleted: bool = True) -> bool:
+        """Position new tuples and sweep deleted ones; positions are read
+        at reconstruction time, never baked into plans, so no cached
+        plan goes stale (always False)."""
+        if inserted:
+            self.index_new()
+        if deleted:
+            self.sweep_deleted()
+        return False
+
+    def positions(self) -> dict[int, int]:
+        return dict(self.db.query(f"SELECT id, pos FROM {ORDER_TABLE}"))
+
+    def configure_like(self, other: "OrderedStore") -> None:
+        """Take ``other``'s policy (a snapshot copies its store's)."""
+        self.policy = copy.deepcopy(other.policy)

@@ -1,15 +1,16 @@
 """An order-preserving :class:`XmlStore` (completing the §8 sketch).
 
-``OrderedXmlStore`` wires the position bookkeeping of
-:mod:`repro.relational.ordered` into the store's whole lifecycle:
+``OrderedXmlStore`` is an :class:`XmlStore` with the ``doc_order`` side
+table of :mod:`repro.relational.ordered` plugged in; the store calls it
+across its whole lifecycle:
 
 * loading indexes every tuple's document-order position;
 * element-level positional inserts (``INSERT <x/> BEFORE $y``) are
   honoured when both the content and the anchor are relation-anchored:
   the new tuple is spliced at the anchor's position (the §8 "push")
   instead of degrading to an append;
-* plain inserts get append positions; strategy deletes sweep their
-  order rows;
+* plain inserts, strategy copies and direct subtree copies get append
+  positions; strategy deletes sweep their order rows;
 * queries reconstruct relation-anchored siblings in document order.
 
 Inlined elements keep mapping-determined positions — the DTD pins them
@@ -18,68 +19,10 @@ to at most one occurrence, so the content model fixes where they belong.
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Optional
 
-from repro.errors import TranslationError
 from repro.relational.ordered import GapPolicy, OrderPolicy, OrderedStore
-from repro.relational.plan_cache import contains_rename
-from repro.relational.shredder import shred_element
 from repro.relational.store import XmlStore
-from repro.relational.update_translate import TupleBinding, UpdateTranslator
-from repro.updates.operations import InsertBefore
-from repro.xmlmodel.model import Document, Element
-from repro.xquery.ast import Query
-
-
-class _OrderedTranslator(UpdateTranslator):
-    """UpdateTranslator that keeps the position table in sync."""
-
-    def __init__(self, ordered: OrderedStore, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self._ordered = ordered
-
-    def _execute_positional(self, env, target, operation) -> None:
-        anchor = self._operand_binding(env, operation.anchor)
-        content = operation.content
-        if isinstance(anchor, TupleBinding) and isinstance(content, Element):
-            self._positional_tuple_insert(anchor, content, operation)
-            return
-        # IDREFS anchors (order inside one column) and other cases are
-        # handled by the base translator.
-        super()._execute_positional(env, target, operation)
-
-    def _positional_tuple_insert(self, anchor, content, operation) -> None:
-        """Insert ``content`` as a sibling tuple of the anchor, splicing
-        it at the anchor's document-order position."""
-        anchor_rows = self._selection_rows(anchor.selection)
-        if not anchor_rows:
-            return
-        before = isinstance(operation, InsertBefore)
-        anchor_relation = self.schema.relation(anchor.selection.relation)
-        if anchor_relation.parent is None:
-            raise TranslationError("cannot insert siblings of the document root")
-        parent_relation = self.schema.relation(anchor_relation.parent)
-        content_relation = None
-        for child_name in parent_relation.children:
-            child = self.schema.relation(child_name)
-            if child.tag == content.name:
-                content_relation = child
-                break
-        if content_relation is None:
-            raise TranslationError(
-                f"element <{content.name}> cannot be stored as a sibling of "
-                f"{anchor_relation.name!r} tuples"
-            )
-        for anchor_id, parent_id in anchor_rows:
-            new_id = shred_element(
-                self.db, self.schema, content_relation, content,
-                parent_id, self.allocator,
-            )
-            siblings = self._ordered.ordered_child_ids(parent_id)
-            index = siblings.index(anchor_id)
-            if not before:
-                index += 1
-            self._ordered.register_insert(new_id, parent_id, index)
 
 
 class OrderedXmlStore(XmlStore):
@@ -87,77 +30,6 @@ class OrderedXmlStore(XmlStore):
 
     def __init__(self, *args, order_policy: Optional[OrderPolicy] = None, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        self.order = OrderedStore(self, policy=order_policy or GapPolicy())
-
-    @classmethod
-    def from_dtd(
-        cls,
-        dtd,
-        root=None,
-        db=None,
-        document_name: str = "doc.xml",
-        strict_order: bool = False,
-        order_policy: Optional[OrderPolicy] = None,
-    ) -> "OrderedXmlStore":
-        from repro.relational.inlining import derive_inlining_schema
-        from repro.xmlmodel.dtd import parse_dtd
-        from repro.xmlmodel.policy import RefPolicy
-
-        parsed = parse_dtd(dtd) if isinstance(dtd, str) else dtd
-        schema = derive_inlining_schema(parsed, root=root)
-        return cls(
-            schema,
-            db=db,
-            document_name=document_name,
-            policy=RefPolicy.from_dtd(parsed),
-            strict_order=strict_order,
-            order_policy=order_policy,
+        self.order = self._side_table = OrderedStore(
+            self, policy=order_policy or GapPolicy()
         )
-
-    # ------------------------------------------------------------------
-    def load(self, document: Document) -> int:
-        root_id = super().load(document)
-        self.order.index_existing()
-        return root_id
-
-    def execute(self, statement: Union[str, Query]) -> Optional[list[Element]]:
-        query = self.parse(statement) if isinstance(statement, str) else statement
-        if not query.is_update:
-            return self.query(query)
-        translator = _OrderedTranslator(
-            self.order,
-            self.db,
-            self.schema,
-            self.allocator,
-            self._delete_method,
-            self._insert_method,
-            strict_order=self.strict_order,
-            document_name=self.document_name,
-        )
-        try:
-            translator.execute_update(query)
-        except Exception:
-            self.db.rollback()
-            raise
-        self.warnings.extend(translator.warnings)
-        if contains_rename(query):
-            self.plan_cache.bump_generation()
-        self._assign_append_positions()
-        self.order.sweep_deleted()
-        return None
-
-    def _assign_append_positions(self) -> None:
-        """Give append positions to tuples inserted without explicit
-        position (plain INSERTs and strategy copies)."""
-        for relation in self.schema.iter_top_down():
-            if relation.parent is None:
-                continue
-            rows = self.db.query(
-                f'SELECT id, parentId FROM "{relation.name}" WHERE id NOT IN '
-                "(SELECT id FROM doc_order)"
-            )
-            for tuple_id, parent_id in sorted(rows):
-                self.order.register_append(tuple_id, parent_id)
-
-    def _order_positions(self) -> dict[int, int]:
-        return dict(self.db.query("SELECT id, pos FROM doc_order"))

@@ -13,11 +13,17 @@ Queries run through the Sorted Outer Union (Section 5.2); updates run
 through the configured delete/insert strategies (Section 6).  The store
 keeps the paper's measurement hooks exposed: ``db.counts`` for SQL
 statement counts and strategy switching per experiment.
+
+Document order (the paper's §8 future work) is an optional *side
+table* next to the mapping — :class:`~repro.relational.ordered.OrderedStore`
+or :class:`~repro.relational.interval.IntervalIndex` — that this one
+store calls at fixed points (:class:`SideTable`).  The paper-default
+store has none and takes none of those branches.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Protocol, Sequence, Union
 
 from repro.errors import StorageError, TranslationError
 from repro.obs import get_registry, span
@@ -56,8 +62,39 @@ from repro.xquery.ast import Query
 from repro.xquery.cache import parse_cached, statement_cache_stats
 
 
+class SideTable(Protocol):
+    """An order side table's hooks, as :class:`XmlStore` calls them."""
+
+    #: Whether :meth:`positions` orders the whole document (and so also
+    #: sorts top-level results) rather than siblings per parent.
+    positions_global: bool
+    #: Descendant-step lowering for query translation, or None.
+    resolver: Optional[Callable]
+
+    def after_load(self) -> None:
+        """Index the tuples a document load just wrote."""
+
+    def place(self, new_id: int, anchor_id: int, parent_id: int,
+              before: bool, size: int) -> None:
+        """Splice one new ``size``-tuple subtree next to a sibling."""
+
+    def after_write(self, inserted: bool = True, deleted: bool = True) -> bool:
+        """Index new tuples and/or sweep deleted ones; True when ordinals
+        that cached plans bake in moved."""
+
+    def positions(self) -> dict[int, int]:
+        """Tuple id -> position, for order-aware reconstruction."""
+
+    def configure_like(self, other: "SideTable") -> None:
+        """Take ``other``'s configuration (for :meth:`XmlStore.snapshot`)."""
+
+
 class XmlStore:
     """An XML repository with a relational (SQLite) core."""
+
+    #: Set by the order-keeping constructors; None keeps the paper's
+    #: unordered semantics.
+    _side_table: Optional[SideTable] = None
 
     def __init__(
         self,
@@ -89,8 +126,9 @@ class XmlStore:
         """A fully independent copy of this store (schema + data +
         installed machinery).  Benchmark runs mutate the copy.
 
-        Trigger DDL and ASR tables travel with the cloned database;
-        strategy objects are re-instantiated against the copy.
+        Trigger DDL, ASR tables and side-table rows travel with the
+        cloned database; strategy objects are re-instantiated against
+        the copy, and its side table takes this one's configuration.
         """
         copy = self.__class__(
             self.schema,
@@ -100,18 +138,10 @@ class XmlStore:
             strict_order=self.strict_order,
             create=False,
         )
-        if self._asr is not None:
-            copy._asr = AsrManager(copy.db, copy.schema)
-        copy._delete_method = DELETE_METHODS[self._delete_method.name]()
-        if isinstance(copy._delete_method, AsrDelete):
-            copy._delete_method.asr = copy._shared_asr()
-        if isinstance(copy._delete_method, IntervalRangeDelete):
-            copy._delete_method.index = copy._shared_interval()
-        copy._insert_method = INSERT_METHODS[self._insert_method.name]()
-        if isinstance(copy._insert_method, AsrInsert):
-            copy._insert_method.asr = copy._shared_asr()
-        if isinstance(copy._insert_method, IntervalCopyInsert):
-            copy._insert_method.index = copy._shared_interval()
+        if self._side_table is not None:
+            copy._side_table.configure_like(self._side_table)
+        copy._delete_method = copy._strategy(DELETE_METHODS, self._delete_method.name)
+        copy._insert_method = copy._strategy(INSERT_METHODS, self._insert_method.name)
         return copy
 
     # ------------------------------------------------------------------
@@ -125,8 +155,10 @@ class XmlStore:
         db: Optional[Database] = None,
         document_name: str = "doc.xml",
         strict_order: bool = False,
+        **options,
     ) -> "XmlStore":
-        """Build a store whose mapping is derived from a DTD."""
+        """Build a store whose mapping is derived from a DTD; ``options``
+        go to the constructor (``order_policy=``, ``interval_gap=``)."""
         parsed = parse_dtd(dtd) if isinstance(dtd, str) else dtd
         schema = derive_inlining_schema(parsed, root=root)
         policy = RefPolicy.from_dtd(parsed)
@@ -136,11 +168,15 @@ class XmlStore:
             document_name=document_name,
             policy=policy,
             strict_order=strict_order,
+            **options,
         )
 
     def load(self, document: Document) -> int:
         """Shred a document into the store; returns the root tuple id."""
-        return shred_document(self.db, self.schema, document, self.allocator)
+        root_id = shred_document(self.db, self.schema, document, self.allocator)
+        if self._side_table is not None:
+            self._side_table.after_load()
+        return root_id
 
     # ------------------------------------------------------------------
     # Strategy selection
@@ -163,11 +199,7 @@ class XmlStore:
         if name == self._delete_method.name:
             return
         self._delete_method.uninstall(self.db, self.schema)
-        method = DELETE_METHODS[name]()
-        if isinstance(method, AsrDelete):
-            method.asr = self._shared_asr()
-        if isinstance(method, IntervalRangeDelete):
-            method.index = self._shared_interval()
+        method = self._strategy(DELETE_METHODS, name)
         method.install(self.db, self.schema)
         self._delete_method = method
 
@@ -180,13 +212,19 @@ class XmlStore:
         if name == self._insert_method.name:
             return
         self._insert_method.uninstall(self.db, self.schema)
-        method = INSERT_METHODS[name]()
-        if isinstance(method, AsrInsert):
-            method.asr = self._shared_asr()
-        if isinstance(method, IntervalCopyInsert):
-            method.index = self._shared_interval()
+        method = self._strategy(INSERT_METHODS, name)
         method.install(self.db, self.schema)
         self._insert_method = method
+
+    def _strategy(self, registry: dict, name: str):
+        """Build strategy ``name`` wired to this store's shared machinery:
+        the ASR manager or the interval index."""
+        method = registry[name]()
+        if isinstance(method, (AsrDelete, AsrInsert)):
+            method.asr = self._shared_asr()
+        if isinstance(method, (IntervalRangeDelete, IntervalCopyInsert)):
+            method.index = self._shared_interval()
+        return method
 
     def _shared_asr(self) -> AsrManager:
         if self._asr is None:
@@ -195,7 +233,7 @@ class XmlStore:
 
     def _shared_interval(self) -> IntervalIndex:
         """One interval index per store, shared by both interval
-        strategies (and owned outright by the interval store subclass)."""
+        strategies (and the interval store's side table)."""
         if self._interval_index is None:
             self._interval_index = IntervalIndex(self.db, self.schema)
         return self._interval_index
@@ -221,6 +259,7 @@ class XmlStore:
                 self._insert_method,
                 strict_order=self.strict_order,
                 document_name=self.document_name,
+                side_table=self._side_table,
             )
             try:
                 with span("sql.translate", kind="update"):
@@ -235,6 +274,9 @@ class XmlStore:
                 # Rename moves tuples between sibling relations, changing
                 # the element-to-relation assignment cached plans baked in.
                 self.plan_cache.bump_generation()
+            if self._side_table is not None:
+                self._sync_side_table()
+                self.db.commit()
             return None
         return self.query(statement if isinstance(statement, str) else query)
 
@@ -265,13 +307,15 @@ class XmlStore:
                 )
             if text is not None:
                 self.plan_cache.put(text, outer_union)
-        positions = self._order_positions()
-        if positions is None:
+        side = self._side_table
+        if side is None:
             # Unordered store: safe on a pooled snapshot reader.
+            positions = None
             rows = self.db.read_query(outer_union.sql, outer_union.params)
         else:
-            # Ordered store: positions come off the writer connection, so
-            # the rows must too (a snapshot could skew against doc_order).
+            # Positions come off the writer connection, so the rows must
+            # too (a snapshot could skew against the side table).
+            positions = side.positions()
             rows = self.db.query(outer_union.sql, outer_union.params)
         with span("store.reconstruct", rows=len(rows)):
             return reconstruct_elements(
@@ -279,24 +323,8 @@ class XmlStore:
                 outer_union,
                 rows,
                 positions=positions,
-                positions_global=self._positions_global,
+                positions_global=bool(side and side.positions_global),
             )
-
-    #: Whether :meth:`_order_positions` orders the whole document (the
-    #: interval store's ``pre`` ordinals) rather than siblings per
-    #: parent (``doc_order``); global maps also sort top-level results.
-    _positions_global = False
-
-    def _order_positions(self):
-        """Tuple-id -> position map for order-aware reconstruction;
-        None in the (paper-default) unordered store."""
-        return None
-
-    def _interval_resolver(self):
-        """Descendant-step lowering hook for translation; the interval
-        store returns a callable that rewrites relation-to-relation
-        descendant steps as pre/post range predicates."""
-        return None
 
     def _query_selection(self, query: Query) -> TargetSelection:
         """Resolve a FLWR query's RETURN target to a tuple selection."""
@@ -316,7 +344,7 @@ class XmlStore:
         from repro.relational.query_translate import translate_relative_path
         from repro.updates.binding import LetClause
 
-        resolver = self._interval_resolver()
+        resolver = self._side_table.resolver if self._side_table else None
         for clause in query.clauses:
             if isinstance(clause, LetClause):
                 raise TranslationError(
@@ -374,8 +402,13 @@ class XmlStore:
     def delete_subtrees(
         self, relation: str, where_sql: str = "", params: Sequence = ()
     ) -> None:
-        """Delete subtrees with the active strategy (used by benchmarks)."""
+        """Delete subtrees with the active strategy (used by benchmarks
+        and store hosts)."""
         self._delete_method.delete(self.db, self.schema, relation, where_sql, params)
+        if self._side_table is not None:
+            self._sync_side_table(
+                inserted=False, deleted=not self._keeps_side_table(self._delete_method)
+            )
 
     def copy_subtrees(
         self,
@@ -384,7 +417,8 @@ class XmlStore:
         params: Sequence,
         new_parent_id: int,
     ) -> None:
-        """Copy subtrees with the active strategy (used by benchmarks)."""
+        """Copy subtrees with the active strategy (used by benchmarks
+        and store hosts)."""
         self._insert_method.insert_copy(
             self.db,
             self.schema,
@@ -394,18 +428,34 @@ class XmlStore:
             params,
             new_parent_id,
         )
+        if self._side_table is not None:
+            self._sync_side_table(
+                inserted=not self._keeps_side_table(self._insert_method), deleted=False
+            )
+
+    def _sync_side_table(self, inserted: bool = True, deleted: bool = True) -> None:
+        """Bring the side table in line after a write; drop cached plans
+        whose baked-in ordinals it moved."""
+        if self._side_table.after_write(inserted=inserted, deleted=deleted):
+            self.plan_cache.bump_generation("renumber")
+
+    def _keeps_side_table(self, method) -> bool:
+        """Whether a strategy maintains the side table itself (the
+        interval strategies on the interval store's own index)."""
+        return getattr(method, "index", None) is self._side_table
 
     def to_document(self) -> Document:
         """Reconstruct the full stored document (Sorted Outer Union over
         the root relation)."""
         outer_union = build_outer_union(self.schema, self.schema.root)
         rows = self.db.query(outer_union.sql, outer_union.params)
+        side = self._side_table
         elements = reconstruct_elements(
             self.schema,
             outer_union,
             rows,
-            positions=self._order_positions(),
-            positions_global=self._positions_global,
+            positions=side.positions() if side else None,
+            positions_global=bool(side and side.positions_global),
         )
         if len(elements) != 1:
             raise StorageError(

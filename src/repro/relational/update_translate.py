@@ -18,7 +18,9 @@ The translator mirrors the paper's execution recipe (Section 6.3):
 Relational stores do not keep document order among child *elements*
 (Section 5.1), so positional element inserts degrade to appends with a
 recorded warning (IDREFS lists ARE ordered — they live in one column —
-so positional reference inserts are honoured).  Deleting one entry from
+so positional reference inserts are honoured).  A store with an order
+side table (the §8 extension) passes it in, and the translator splices
+positional element inserts into it instead.  Deleting one entry from
 an IDREFS column uses string surgery and removes every occurrence of
 that ID (IDs rarely repeat within one list).
 """
@@ -26,7 +28,7 @@ that ID (IDs rarely repeat within one list).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace as dataclass_replace
-from typing import Optional, Union
+from typing import TYPE_CHECKING, Optional, Union
 
 from repro.errors import TranslationError
 from repro.relational.database import Database
@@ -48,7 +50,7 @@ from repro.relational.schema import (
     MappingSchema,
     Relation,
 )
-from repro.relational.shredder import extract_field, shred_element
+from repro.relational.shredder import _Shredder, extract_field, shred_element
 from repro.updates.binding import LetClause
 from repro.updates.content import RefContent
 from repro.updates.operations import (
@@ -76,6 +78,8 @@ from repro.xpath.ast import (
 )
 from repro.xquery.ast import Query
 
+if TYPE_CHECKING:
+    from repro.relational.store import SideTable
 
 # ----------------------------------------------------------------------
 # Bindings
@@ -117,6 +121,7 @@ class UpdateTranslator:
         insert_method: InsertMethod,
         strict_order: bool = False,
         document_name: Optional[str] = None,
+        side_table: Optional["SideTable"] = None,
     ) -> None:
         self.db = db
         self.schema = schema
@@ -125,6 +130,7 @@ class UpdateTranslator:
         self.insert_method = insert_method
         self.strict_order = strict_order
         self.document_name = document_name
+        self.side_table = side_table
         self.warnings: list[str] = []
 
     # ------------------------------------------------------------------
@@ -595,6 +601,13 @@ class UpdateTranslator:
         anchor = self._operand_binding(env, operation.anchor)
         before = isinstance(operation, InsertBefore)
         if (
+            self.side_table is not None
+            and isinstance(anchor, TupleBinding)
+            and isinstance(operation.content, Element)
+        ):
+            self._positional_tuple_insert(anchor, operation.content, before)
+            return
+        if (
             isinstance(anchor, InlinedBinding)
             and anchor.kind == "ref_entry"
             and isinstance(operation.content, (str, RefContent))
@@ -635,6 +648,41 @@ class UpdateTranslator:
             raise TranslationError(message)
         self.warnings.append(message)
         self._execute_insert(env, target, operation.content)
+
+    def _positional_tuple_insert(
+        self, anchor: TupleBinding, content: Element, before: bool
+    ) -> None:
+        """Insert ``content`` as a sibling tuple of every anchor tuple,
+        spliced at the anchor's document-order position in the side
+        table."""
+        anchor_rows = self._selection_rows(anchor.selection)
+        if not anchor_rows:
+            return
+        anchor_relation = self.schema.relation(anchor.selection.relation)
+        if anchor_relation.parent is None:
+            raise TranslationError("cannot insert siblings of the document root")
+        content_relation = next(
+            (
+                child
+                for child in self.schema.child_relations(anchor_relation.parent)
+                if child.tag == content.name
+            ),
+            None,
+        )
+        if content_relation is None:
+            raise TranslationError(
+                f"element <{content.name}> cannot be stored as a sibling of "
+                f"{anchor_relation.name!r} tuples"
+            )
+        size = _Shredder(self.schema, self.allocator)._count_tuples(
+            content, content_relation
+        )
+        for anchor_id, parent_id in anchor_rows:
+            new_id = shred_element(
+                self.db, self.schema, content_relation, content,
+                parent_id, self.allocator,
+            )
+            self.side_table.place(new_id, anchor_id, parent_id, before, size)
 
     # -- REPLACE --------------------------------------------------------
     def _execute_replace(
