@@ -15,7 +15,9 @@ from typing import Iterator, Sequence, Union
 
 from repro.updates.operations import ForClause
 from repro.xpath.ast import Expr, Path
-from repro.xpath.evaluator import Binding, XPathContext, evaluate_path, evaluate_predicate
+from repro.xpath.evaluator import Binding, XPathContext
+
+_UNBOUND = object()
 
 
 @dataclass(frozen=True)
@@ -37,32 +39,34 @@ def enumerate_bindings(
     """Yield one variable-binding dict per combination passing the WHERE.
 
     The yielded dicts are snapshots (safe to store; enumeration is fully
-    materialisable before any update executes, per Section 3.2).
+    materialisable before any update executes, per Section 3.2).  Every
+    path runs in one scope whose variables the expansion rebinds in
+    place.
     """
-    for bindings in _expand(clauses, 0, {}, context):
-        bound_context = context.child(variables=bindings)
-        if all(evaluate_predicate(predicate, bound_context) for predicate in predicates):
-            yield dict(bindings)
+    scope = context.child()
+    names = [clause.variable for clause in clauses]
+    tests = [predicate.compiled_test for predicate in predicates]
+    for _ in _expand(clauses, 0, scope):
+        if all(test(scope.context_node, scope) for test in tests):
+            yield {name: scope.variables[name] for name in names}
 
 
-def _expand(
-    clauses: Sequence[Clause],
-    index: int,
-    bindings: dict[str, Binding],
-    context: XPathContext,
-) -> Iterator[dict[str, Binding]]:
+def _expand(clauses: Sequence[Clause], index: int, scope: XPathContext) -> Iterator[None]:
     if index == len(clauses):
-        yield bindings
+        yield
         return
     clause = clauses[index]
-    bound_context = context.child(variables=bindings)
-    nodes = evaluate_path(clause.path, bound_context)
+    variables = scope.variables
+    nodes = clause.path.compiled(scope.context_node, scope)
+    shadowed = variables.get(clause.variable, _UNBOUND)
     if isinstance(clause, LetClause):
-        bindings[clause.variable] = nodes  # type: ignore[assignment]
-        yield from _expand(clauses, index + 1, bindings, context)
-        del bindings[clause.variable]
-        return
-    for node in nodes:
-        bindings[clause.variable] = node
-        yield from _expand(clauses, index + 1, bindings, context)
-    bindings.pop(clause.variable, None)
+        variables[clause.variable] = nodes  # type: ignore[assignment]
+        yield from _expand(clauses, index + 1, scope)
+    else:
+        for node in nodes:
+            variables[clause.variable] = node
+            yield from _expand(clauses, index + 1, scope)
+    if shadowed is _UNBOUND:
+        variables.pop(clause.variable, None)
+    else:
+        variables[clause.variable] = shadowed

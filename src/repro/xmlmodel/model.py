@@ -484,10 +484,13 @@ class Document:
                 self._id_index[attribute.value] = element
 
     def element_by_id(self, id_value: str) -> Optional[Element]:
-        """Look up an element by ID, tolerating stale index entries."""
+        """Look up an element by ID, tolerating stale index entries: a hit
+        counts only while the element is live and still carries that ID."""
         element = self._id_index.get(id_value)
         if element is not None and not element.is_deleted:
-            return element
+            attribute = element.attributes.get(self.id_attribute)
+            if attribute is not None and attribute.value == id_value:
+                return element
         self.reindex()
         return self._id_index.get(id_value)
 

@@ -1,35 +1,33 @@
 """Evaluation of the XPath subset over the in-memory data model.
 
-Evaluation happens inside an :class:`XPathContext`, which names the
-reachable documents (for ``document("...")``), holds variable bindings
-(single nodes, as established by the XQuery FOR/LET machinery), and
-optionally carries a context node for relative paths.
+Each :class:`Path` and :class:`Expr` compiles, once, to closures that the
+AST node keeps (``Path.compiled``, ``Expr.compiled``, ``Expr.compiled_test``),
+so a statement in the statement cache carries its evaluation plan.  The
+step kind and name test, whether a step can yield duplicates, the
+comparison operator and its numeric-or-string choice, and how to take a
+result's string value are all decided when compiling.
 
-A path evaluates to a list of *node bindings* in document order with
-duplicates removed: elements, attributes, reference entries, whole
-reference lists (``@name`` on an IDREFS attribute), or text nodes.
+A compiled path runs as ``run(context_node, context)``: the
+:class:`XPathContext` holds documents and variables, and
+``context_node`` anchors relative paths, so a predicate tests each
+candidate without a derived context.  A path evaluates to a list of
+*node bindings* in document order with duplicates removed: elements,
+attributes, reference entries, whole reference lists (``@name`` on an
+IDREFS attribute), or text nodes.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Union
+import operator
+from typing import Callable, Optional, Union
 
 from repro.errors import XPathError
-from repro.xmlmodel.model import (
-    Attribute,
-    Document,
-    Element,
-    Node,
-    RefEntry,
-    Reference,
-    Text,
-)
+from repro.xmlmodel.model import Attribute, Document, Element, Node, RefEntry, Reference, Text
 from repro.xpath.ast import (
     AttributeStep,
     BooleanOp,
     ChildStep,
     Comparison,
-    ContextStart,
     DerefStep,
     DocumentStart,
     Exists,
@@ -47,6 +45,10 @@ from repro.xpath.ast import (
 
 Binding = Union[Element, Attribute, Reference, RefEntry, Text]
 Atom = Union[str, float]
+Value = Union[list[Atom], Atom, bool]
+#: A compiled path or expression: ``fn(context_node, context)``.
+PathFn = Callable[[Optional[Binding], "XPathContext"], list[Binding]]
+ExprFn = Callable[[Optional[Binding], "XPathContext"], Value]
 
 
 class XPathContext:
@@ -83,277 +85,332 @@ class XPathContext:
             context_node=context_node if context_node is not None else self.context_node,
         )
 
-    def document_containing(self, node: Node) -> Optional[Document]:
-        """Find the registered document whose tree contains ``node``."""
-        root = node.root_element()
-        if root is None:
-            return None
-        for document in self.documents.values():
-            if document.root is root:
-                return document
-        return None
-
     def resolve_id(self, node: Node, id_value: str) -> Optional[Element]:
-        """Resolve an ID within the document that owns ``node``."""
-        document = self.document_containing(node)
-        if document is None:
-            return None
-        return document.element_by_id(id_value)
+        """Resolve an ID within the registered document that owns ``node``."""
+        root = node.root_element()
+        for document in self.documents.values():
+            if root is not None and document.root is root:
+                return document.element_by_id(id_value)
+        return None
 
 
 def string_value(node: Binding) -> str:
     """XPath string value: recursive text for elements, the value for
     attributes/text, the target ID for reference entries."""
     if isinstance(node, Element):
-        parts: list[str] = []
-        _collect_text(node, parts)
-        return "".join(parts)
-    if isinstance(node, Attribute):
+        return _element_text(node)
+    if isinstance(node, (Attribute, Text)):
         return node.value
     if isinstance(node, RefEntry):
         return node.target
     if isinstance(node, Reference):
         return " ".join(node.targets)
-    if isinstance(node, Text):
-        return node.value
     raise XPathError(f"cannot take the string value of {node!r}")
 
 
-def _collect_text(element: Element, parts: list[str]) -> None:
-    for child in element.children:
-        if isinstance(child, Text):
-            parts.append(child.value)
-        else:
-            _collect_text(child, parts)
+def _element_text(element: Element) -> str:
+    return "".join(
+        child.value if isinstance(child, Text) else _element_text(child)
+        for child in element.children
+    )
 
 
 def evaluate_path(path: Path, context: XPathContext) -> list[Binding]:
     """Evaluate a path to its node bindings, in document order, deduplicated."""
+    return path.compiled(context.context_node, context)
+
+
+def evaluate_expr(expr: Expr, context: XPathContext) -> Value:
+    """Evaluate an expression to a value: atoms, atom lists, or a boolean."""
+    return expr.compiled(context.context_node, context)
+
+
+def evaluate_predicate(expr: Expr, context: XPathContext) -> bool:
+    """Evaluate an expression in boolean position."""
+    return expr.compiled_test(context.context_node, context)
+
+
+def compile_path(path: Path) -> PathFn:
+    """Compile ``path``; reached through ``path.compiled``, which keeps it."""
     steps = list(path.steps)
     if isinstance(path.start, DocumentStart) and steps and isinstance(steps[0], ChildStep):
         # Standard XPath: the document node sits above the root element,
         # so the first child step of an absolute path names the ROOT
         # (document("x.xml")/CustDB selects the <CustDB> root itself).
-        nodes = _document_first_step(path.start, steps.pop(0), context)
+        begin = _compile_root_step(path.start.name, steps.pop(0))
     else:
-        nodes = _start_nodes(path, context)
-    for step in steps:
-        nodes = _apply_step(step, nodes, context)
-    return nodes
+        begin = _compile_start(path.start)
+    rest = tuple(_compile_step(step) for step in steps)
+
+    def run(node: Optional[Binding], context: XPathContext) -> list[Binding]:
+        nodes = begin(node, context)
+        for step in rest:
+            if not nodes:
+                break
+            nodes = step(nodes, context)
+        return nodes
+
+    return run if rest else begin
 
 
-def _document_first_step(
-    start: DocumentStart, step: ChildStep, context: XPathContext
-) -> list[Binding]:
-    document = context.documents.get(start.name)
+def _document(name: str, context: XPathContext) -> Document:
+    document = context.documents.get(name)
     if document is None:
         known = sorted(context.documents)
-        raise XPathError(f"unknown document {start.name!r}; known: {known}")
-    root = document.root
-    if step.descendant:
-        candidates: list[Binding] = [
-            element
-            for element in root.iter_descendants(include_self=True)
-            if step.name == "*" or element.name == step.name
-        ]
-    elif step.name == "*" or root.name == step.name:
-        candidates = [root]
-    else:
-        candidates = []
-    if step.predicates:
-        candidates = [
-            node
-            for node in candidates
-            if all(
-                evaluate_predicate(predicate, context.child(context_node=node))
-                for predicate in step.predicates
-            )
-        ]
-    return candidates
+        raise XPathError(f"unknown document {name!r}; known: {known}")
+    return document
 
 
-def _start_nodes(path: Path, context: XPathContext) -> list[Binding]:
-    start = path.start
+def _compile_start(start) -> PathFn:
     if isinstance(start, DocumentStart):
-        document = context.documents.get(start.name)
-        if document is None:
-            known = sorted(context.documents)
-            raise XPathError(f"unknown document {start.name!r}; known: {known}")
-        return [document.root]
+        return lambda node, context: [_document(start.name, context).root]
     if isinstance(start, VariableStart):
-        if start.name not in context.variables:
-            raise XPathError(f"unbound variable ${start.name}")
-        value = context.variables[start.name]
-        # LET clauses bind whole node sequences; FOR clauses bind one node.
-        return list(value) if isinstance(value, list) else [value]
-    assert isinstance(start, ContextStart)
-    if context.context_node is None:
-        raise XPathError("relative path used without a context node")
-    return [context.context_node]
+        name = start.name
+
+        def variable(node: Optional[Binding], context: XPathContext) -> list[Binding]:
+            if name not in context.variables:
+                raise XPathError(f"unbound variable ${name}")
+            value = context.variables[name]
+            # LET clauses bind whole node sequences (deduplicated here, so
+            # that no step after them has to be); FOR clauses bind one node.
+            return _distinct(value) if isinstance(value, list) else [value]
+
+        return variable
+
+    def relative(node: Optional[Binding], context: XPathContext) -> list[Binding]:
+        if node is None:
+            raise XPathError("relative path used without a context node")
+        return [node]
+
+    return relative
 
 
-def _apply_step(step: Step, nodes: list[Binding], context: XPathContext) -> list[Binding]:
-    results: list[Binding] = []
+def _distinct(nodes) -> list[Binding]:
     seen: set[int] = set()
-
-    def emit(node: Binding) -> None:
-        if node.node_id not in seen:
-            seen.add(node.node_id)
-            results.append(node)
-
-    for node in nodes:
-        for produced in _step_candidates(step, node, context):
-            emit(produced)
-    if isinstance(step, ChildStep) and step.predicates:
-        results = [
-            node
-            for node in results
-            if all(
-                evaluate_predicate(predicate, context.child(context_node=node))
-                for predicate in step.predicates
-            )
-        ]
-    return results
+    return [node for node in nodes if not (node.node_id in seen or seen.add(node.node_id))]
 
 
-def _step_candidates(
-    step: Step, node: Binding, context: XPathContext
-) -> Iterable[Binding]:
+def _filter(step: ChildStep) -> Optional[Callable[[Binding, XPathContext], bool]]:
+    """All of ``step``'s predicates as one test, or None without any."""
+    tests = tuple(predicate.compiled_test for predicate in step.predicates)
+    if len(tests) <= 1:
+        return tests[0] if tests else None
+    return lambda node, context: all(test(node, context) for test in tests)
+
+
+def _compile_root_step(document_name: str, step: ChildStep) -> PathFn:
+    if step.descendant:
+        descend = _compile_step(step)
+        return lambda node, context: descend([_document(document_name, context).root], context)
+    name, keep = step.name, _filter(step)
+
+    def root_step(node: Optional[Binding], context: XPathContext) -> list[Binding]:
+        root = _document(document_name, context).root
+        matched = name in ("*", root.name) and (keep is None or keep(root, context))
+        return [root] if matched else []
+
+    return root_step
+
+
+def _self_and_descendants(element: Element, out: list[Element]) -> None:
+    out.append(element)
+    for child in element.children:
+        if isinstance(child, Element):
+            _self_and_descendants(child, out)
+
+
+def _compile_step(step: Step) -> Callable[[list[Binding], XPathContext], list[Binding]]:
+    """Child, ``@`` and ``text()`` steps over distinct nodes yield distinct
+    nodes (each has one parent), so only ``//``, ``ref()`` and ``->``,
+    whose results can meet, keep a ``node_id`` set."""
     if isinstance(step, ChildStep):
-        if not isinstance(node, Element):
-            return
-        if step.descendant:
-            pool: Iterable[Element] = node.iter_descendants(include_self=True)
-        else:
-            pool = node.child_elements()
-        for element in pool:
-            if step.name == "*" or element.name == step.name:
-                yield element
-        return
+        name, wildcard, keep = step.name, step.name == "*", _filter(step)
+        if not step.descendant:
+            return lambda nodes, context: [
+                child
+                for node in nodes
+                if isinstance(node, Element)
+                for child in node.children
+                if isinstance(child, Element)
+                and (wildcard or child.name == name)
+                and (keep is None or keep(child, context))
+            ]
+
+        def descendants(nodes: list[Binding], context: XPathContext) -> list[Binding]:
+            pool: list[Element] = []
+            for node in nodes:
+                if isinstance(node, Element):
+                    _self_and_descendants(node, pool)
+            found = [element for element in pool if wildcard or element.name == name]
+            found = _distinct(found) if len(nodes) > 1 else found
+            return [n for n in found if keep(n, context)] if keep else found
+
+        return descendants
     if isinstance(step, AttributeStep):
-        if not isinstance(node, Element):
-            return
-        attribute = node.attributes.get(step.name)
-        if attribute is not None:
-            yield attribute
-        reference = node.references.get(step.name)
-        if reference is not None:
-            yield reference
-        return
-    if isinstance(step, RefStep):
-        if not isinstance(node, Element):
-            return
-        for reference in node.references.values():
-            if step.label != "*" and reference.name != step.label:
-                continue
-            for entry in reference.entries:
-                if step.target == "*" or entry.target == step.target:
-                    yield entry
-        return
-    if isinstance(step, DerefStep):
-        targets: list[str] = []
-        if isinstance(node, RefEntry):
-            targets = [node.target]
-        elif isinstance(node, Reference):
-            targets = node.targets
-        elif isinstance(node, Attribute):
-            targets = node.value.split()
-        for target in targets:
-            element = context.resolve_id(node, target)
-            if element is not None:
-                yield element
-        return
+        name = step.name
+        return lambda nodes, context: [
+            found
+            for node in nodes
+            if isinstance(node, Element)
+            for found in (node.attributes.get(name), node.references.get(name))
+            if found is not None
+        ]
     if isinstance(step, TextStep):
-        if isinstance(node, Element):
-            for child in node.children:
-                if isinstance(child, Text):
-                    yield child
-        return
+        return lambda nodes, context: [
+            child
+            for node in nodes
+            if isinstance(node, Element)
+            for child in node.children
+            if isinstance(child, Text)
+        ]
+    if isinstance(step, RefStep):
+        label, target = step.label, step.target
+        return lambda nodes, context: _distinct(
+            entry
+            for node in nodes
+            if isinstance(node, Element)
+            for reference in node.references.values()
+            if label in ("*", reference.name)
+            for entry in reference.entries
+            if target in ("*", entry.target)
+        )
+    if isinstance(step, DerefStep):
+        return lambda nodes, context: _distinct(
+            element
+            for node in nodes
+            for target in _targets(node)
+            for element in (context.resolve_id(node, target),)
+            if element is not None
+        )
     raise XPathError(f"unsupported step {step!r}")
 
 
+def _targets(node: Binding) -> list[str]:
+    if isinstance(node, RefEntry):
+        return [node.target]
+    if isinstance(node, Reference):
+        return node.targets
+    if isinstance(node, Attribute):
+        return node.value.split()
+    return []
+
+
+def _string_of(path: Path) -> Callable[[Binding], str]:
+    """The string value, specialised by the kind ``path``'s last step binds."""
+    last = path.steps[-1] if path.steps else None
+    if isinstance(last, (ChildStep, DerefStep)):
+        return _element_text
+    if isinstance(last, TextStep):
+        return operator.attrgetter("value")
+    if isinstance(last, RefStep):
+        return operator.attrgetter("target")
+    if isinstance(last, AttributeStep):
+        return lambda node: node.value if isinstance(node, Attribute) else " ".join(node.targets)
+    return string_value
+
+
 # ----------------------------------------------------------------------
-# Predicate / WHERE expression evaluation
+# Predicate / WHERE expressions
 # ----------------------------------------------------------------------
-def evaluate_expr(expr: Expr, context: XPathContext) -> Union[list[Atom], Atom, bool]:
-    """Evaluate an expression to a value: atoms, atom lists, or a boolean."""
-    if isinstance(expr, Literal):
-        return expr.value
-    if isinstance(expr, Number):
-        return expr.value
-    if isinstance(expr, PathValue):
-        return [string_value(node) for node in evaluate_path(expr.path, context)]
+_OPERATORS = {"=": operator.eq, "!=": operator.ne, "<": operator.lt,
+              "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+
+
+def compile_value(expr: Expr) -> ExprFn:
+    """Compile ``expr`` to its value; reached through ``expr.compiled``."""
+    if isinstance(expr, (Literal, Number)):
+        value = expr.value
+        return lambda node, context: value
+    if isinstance(expr, (PathValue, IndexCall)):
+        return _compile_atoms(expr)
+    return expr.compiled_test
+
+
+def compile_test(expr: Expr) -> ExprFn:
+    """Compile ``expr`` as a test; reached through ``expr.compiled_test``."""
+    if isinstance(expr, (Literal, Number)):
+        truth = bool(expr.value)
+        return lambda node, context: truth
+    if isinstance(expr, (PathValue, Exists)):
+        run = expr.path.compiled
+        return lambda node, context: bool(run(node, context))
     if isinstance(expr, IndexCall):
-        positions: list[Atom] = []
-        for node in evaluate_path(expr.path, context):
-            parent = node.parent
-            if isinstance(parent, Element) and isinstance(node, (Element, Text)):
-                positions.append(float(parent.child_index(node)))
-        return positions
-    if isinstance(expr, Exists):
-        return bool(evaluate_path(expr.path, context))
-    if isinstance(expr, Comparison):
-        return _compare(expr, context)
+        positions = _compile_atoms(expr)
+        return lambda node, context: bool(positions(node, context))
     if isinstance(expr, BooleanOp):
-        left = evaluate_predicate(expr.left, context)
+        left, right = expr.left.compiled_test, expr.right.compiled_test
         if expr.op == "and":
-            return left and evaluate_predicate(expr.right, context)
-        return left or evaluate_predicate(expr.right, context)
+            return lambda node, context: left(node, context) and right(node, context)
+        return lambda node, context: left(node, context) or right(node, context)
+    if isinstance(expr, Comparison):
+        return _compile_comparison(expr)
     raise XPathError(f"unsupported expression {expr!r}")
 
 
-def evaluate_predicate(expr: Expr, context: XPathContext) -> bool:
-    """Evaluate an expression in boolean position."""
-    value = evaluate_expr(expr, context)
-    if isinstance(value, bool):
-        return value
-    if isinstance(value, list):
-        return bool(value)
-    if isinstance(value, float):
-        return value != 0.0
-    return bool(value)
+def _compile_atoms(expr: Expr) -> ExprFn:
+    """``expr`` as the list of atoms a comparison ranges over."""
+    if isinstance(expr, (Literal, Number)):
+        atoms = [expr.value]
+        return lambda node, context: atoms
+    if isinstance(expr, PathValue):
+        run, string_of = expr.path.compiled, _string_of(expr.path)
+        return lambda node, context: [string_of(n) for n in run(node, context)]
+    if isinstance(expr, IndexCall):
+        run = expr.path.compiled
+        return lambda node, context: [
+            float(n.parent.child_index(n))
+            for n in run(node, context)
+            if isinstance(n.parent, Element) and isinstance(n, (Element, Text))
+        ]
+    test = expr.compiled_test
+    return lambda node, context: [1.0 if test(node, context) else 0.0]
 
 
-def _as_atoms(value: Union[list[Atom], Atom, bool]) -> list[Atom]:
-    if isinstance(value, list):
-        return value
-    if isinstance(value, bool):
-        return [1.0 if value else 0.0]
-    return [value]
+def _number(atom: Atom) -> Optional[float]:
+    try:
+        return float(atom)
+    except ValueError:
+        return None
 
 
-def _compare(expr: Comparison, context: XPathContext) -> bool:
-    """Existential comparison: true iff any pair of atoms satisfies it."""
-    left_atoms = _as_atoms(evaluate_expr(expr.left, context))
-    right_atoms = _as_atoms(evaluate_expr(expr.right, context))
-    numeric_hint = isinstance(expr.left, Number) or isinstance(expr.right, Number)
+def _compile_comparison(expr: Comparison) -> ExprFn:
+    """Existential comparison: true iff any pair of atoms satisfies it.
+
+    With a number on either side, or an ordering operator, a pair whose
+    atoms both read as numbers compares as numbers and any other pair as
+    strings; otherwise every pair compares as strings."""
+    if expr.op not in _OPERATORS:
+        raise XPathError(f"unknown comparison operator {expr.op!r}")
+    compare = _OPERATORS[expr.op]
+    left, right = _compile_atoms(expr.left), _compile_atoms(expr.right)
     ordering = expr.op in ("<", "<=", ">", ">=")
-    for left in left_atoms:
-        for right in right_atoms:
-            if _compare_atoms(expr.op, left, right, numeric_hint or ordering):
-                return True
-    return False
+    if ordering or isinstance(expr.left, Number) or isinstance(expr.right, Number):
 
+        def numeric(node: Optional[Binding], context: XPathContext) -> bool:
+            lefts = left(node, context)
+            rights = [(_number(atom), str(atom)) for atom in right(node, context)]
+            for atom in lefts:
+                number, text = _number(atom), str(atom)
+                for other_number, other_text in rights:
+                    if number is None or other_number is None:
+                        if compare(text, other_text):
+                            return True
+                    elif compare(number, other_number):
+                        return True
+            return False
 
-def _compare_atoms(op: str, left: Atom, right: Atom, prefer_numeric: bool) -> bool:
-    if prefer_numeric:
-        try:
-            left_value: Union[str, float] = float(left)
-            right_value: Union[str, float] = float(right)
-        except (TypeError, ValueError):
-            left_value, right_value = str(left), str(right)
-    else:
-        left_value, right_value = str(left), str(right)
-    if op == "=":
-        return left_value == right_value
-    if op == "!=":
-        return left_value != right_value
-    if op == "<":
-        return left_value < right_value
-    if op == "<=":
-        return left_value <= right_value
-    if op == ">":
-        return left_value > right_value
-    if op == ">=":
-        return left_value >= right_value
-    raise XPathError(f"unknown comparison operator {op!r}")
+        return numeric
+    if expr.op == "=" and isinstance(expr.left, PathValue) and isinstance(expr.right, Literal):
+        run, string_of = expr.left.path.compiled, _string_of(expr.left.path)
+        literal = expr.right.value
+
+        return lambda node, context: any(
+            string_of(found) == literal for found in run(node, context)
+        )
+
+    def strings(node: Optional[Binding], context: XPathContext) -> bool:
+        lefts = [str(atom) for atom in left(node, context)]
+        rights = [str(atom) for atom in right(node, context)]
+        return any(compare(atom, other) for atom in lefts for other in rights)
+
+    return strings

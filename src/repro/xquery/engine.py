@@ -19,7 +19,7 @@ from repro.updates.delta import DeltaOp
 from repro.updates.executor import BoundUpdate, UpdateExecutor
 from repro.xmlmodel.model import Document, Element
 from repro.xmlmodel.policy import RefPolicy
-from repro.xpath.evaluator import Binding, XPathContext, evaluate_path
+from repro.xpath.evaluator import Binding, XPathContext
 from repro.xquery.ast import Query
 from repro.xquery.cache import parse_cached
 
@@ -127,9 +127,11 @@ class XQueryEngine:
         assert query.returns is not None
         result = QueryResult()
         seen: set[int] = set()
+        run = query.returns.compiled
+        scope = context.child()
         for combo in combos:
-            scoped = context.child(variables=combo)
-            for node in evaluate_path(query.returns, scoped):
+            scope.variables.update(combo)
+            for node in run(scope.context_node, scope):
                 if node.node_id not in seen:
                     seen.add(node.node_id)
                     result.nodes.append(node)

@@ -24,6 +24,7 @@ from repro.xmlmodel.policy import RefPolicy
 from repro.xmlmodel.serializer import serialize
 from repro.xquery import XQueryEngine
 from tests.conftest import BIO_XML
+from tests.xquery.test_engine_semantics import FOLLOW_REF, REFERRING, REPLACE_ID
 
 DOC = "bio.xml"
 TIMEOUT = 30
@@ -180,3 +181,20 @@ class TestFailedStatement:
         finally:
             service.close()
             store.close()
+
+
+class TestDereferenceAfterIdChange:
+    def test_arrow_does_not_follow_an_id_the_live_element_no_longer_has(self):
+        """The statement runs on a copy; the live document gets only the
+        delta, so its ID index still maps the old ID to the element."""
+        service = UpdateService(ServiceConfig())
+        service.host_document("x.xml", parse(REFERRING))
+        service.start()
+        try:
+            assert service.execute("x.xml", FOLLOW_REF, timeout=TIMEOUT)["results"] == [
+                '<p ID="a"/>'
+            ]
+            assert service.execute("x.xml", REPLACE_ID, timeout=TIMEOUT)["delta_ops"] >= 1
+            assert service.execute("x.xml", FOLLOW_REF, timeout=TIMEOUT)["results"] == []
+        finally:
+            service.close()

@@ -115,3 +115,25 @@ class TestReturnSemantics:
             "RETURN $a"
         )
         assert len(result) == 3
+
+
+#: A document whose second ``p`` references the first by IDREF.
+REFERRING = (
+    "<!DOCTYPE r [<!ATTLIST p ID ID #REQUIRED ref IDREF #IMPLIED>]>"
+    '<r><p ID="a"/><p ID="b" ref="a"/></r>'
+)
+REPLACE_ID = (
+    'FOR $p IN document("x.xml")/r/p[@ID="a"], $i IN $p/@ID '
+    'UPDATE $p { REPLACE $i WITH new_attribute(ID,"z") }'
+)
+FOLLOW_REF = 'FOR $p IN document("x.xml")/r/p[@ref], $t IN $p/@ref-> RETURN $t'
+
+
+class TestDereferenceAfterIdChange:
+    def test_arrow_does_not_follow_an_id_the_element_no_longer_has(self):
+        document = parse(REFERRING)
+        engine = XQueryEngine({"x.xml": document})
+        assert [node.attributes["ID"].value for node in engine.execute(FOLLOW_REF)] == ["a"]
+        engine.execute(REPLACE_ID)
+        assert list(engine.execute(FOLLOW_REF)) == []
+        assert document.element_by_id("z") is document.root.child_elements("p")[0]
