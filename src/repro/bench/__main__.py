@@ -119,23 +119,6 @@ def run_table2(runs: int, full: bool) -> dict[str, list]:
     return results
 
 
-def run_mapping(smoke: bool = False, json_path: str | None = None) -> list:
-    from repro.bench.mapping_bench import run_mapping_benchmark, save_mapping_results
-
-    points = run_mapping_benchmark(smoke=smoke)
-    if json_path:
-        save_mapping_results(json_path, points)
-    for point in points:
-        extra = ""
-        if point.extra:
-            extra = "  " + " ".join(f"{k}={v}" for k, v in sorted(point.extra.items()))
-        print(
-            f"  {point.series}[{point.mapping}] x={point.x:g}: "
-            f"{point.seconds:.4f}s {point.statements}st{extra}"
-        )
-    return [point.as_measurement() for point in points]
-
-
 EXPERIMENTS = {
     "fig6": ("Figure 6: delete, bulk (f=1, d=8)", "sf"),
     "fig7": ("Figure 7: delete, random (f=1, d=8)", "sf"),
@@ -146,7 +129,6 @@ EXPERIMENTS = {
     "sec72": ("Section 7.2: ASR path expressions", "path len"),
     "sec73": ("Section 7.3: randomized synthetic", "-"),
     "table2": ("Table 2: DBLP", "-"),
-    "mapping": ("Ablation: interval vs inlining/edge/attribute mappings", "-"),
 }
 
 
@@ -155,11 +137,6 @@ def main(argv=None) -> int:
     parser.add_argument("--only", nargs="*", choices=sorted(EXPERIMENTS),
                         help="run a subset of experiments")
     parser.add_argument("--full", action="store_true", help="paper-size sweeps")
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="tiny fixed-work sizes for the mapping series (a liveness check)",
-    )
     parser.add_argument("--runs", type=int, default=5,
                         help="runs per point (first discarded; default 5)")
     parser.add_argument("--json", help="write raw measurements to this file")
@@ -206,9 +183,6 @@ def main(argv=None) -> int:
     if "table2" in selected:
         for title, measurements in run_table2(args.runs, args.full).items():
             emit(title, "-", measurements)
-    if "mapping" in selected:
-        emit(*EXPERIMENTS["mapping"],
-             run_mapping(smoke=args.smoke, json_path=args.json))
     if tracer is not None:
         tracer.stop_capture()
         written = tracer.write_json(args.trace_out)

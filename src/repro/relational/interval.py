@@ -1,41 +1,36 @@
-"""Interval (pre/post) encoding: the XPath accelerator as a fourth mapping.
+"""Interval (pre/post) encoding: the XPath accelerator as a side table.
 
-Every node carries ``(pre, post, parent, level)``.  ``pre``/``post`` are
-the entry/exit ordinals of a depth-first walk, so the structural axes
-collapse into range predicates over the ``pre`` index:
+Every relation-anchored tuple carries ``(pre, post, level)`` in the
+``node_interval`` table.  ``pre``/``post`` are the entry/exit ordinals
+of a depth-first walk, so the structural axes collapse into range
+predicates over the ``pre`` index:
 
 * descendant(a): ``pre > a.pre AND pre < a.post``
 * ancestor(d):   ``pre < d.pre AND post > d.post``
-* following(c):  ``pre > c.post``
-* preceding(c):  ``post < c.pre``
 
 and a whole-subtree delete is ``DELETE … WHERE pre BETWEEN a.pre AND
 a.post`` — one statement regardless of subtree size or fan-out.
 
 The update-maintenance half is the hard part.  Ordinals are **gapped**
-(spaced integers, :data:`~repro.relational.schema.DEFAULT_INTERVAL_GAP`
-apart at load time) so inserts bisect into free integers without
-touching neighbours.  When a gap is exhausted, the
-:class:`OrdinalAllocator` **renumbers locally**: it re-spaces the
-smallest enclosing element scope whose width can host its boundaries
-plus the requested reservation, escalating to outer ancestors only when
-the inner scope is too dense, and at the document root it simply widens
-``root.post`` (the one ordinal nothing else constrains).  Renumber
-frequency and cost are observable via the ``interval.renumber.*``
-metrics, mirroring how the ordered store reports its sibling-dictionary
-maintenance.
+(spaced integers, :data:`DEFAULT_INTERVAL_GAP` apart at load time) so
+inserts bisect into free integers without touching neighbours.  When a
+gap is exhausted, the :class:`OrdinalAllocator` **renumbers locally**:
+it re-spaces the smallest enclosing element scope whose width can host
+its boundaries plus the requested reservation, escalating to outer
+ancestors only when the inner scope is too dense, and at the document
+root it simply widens ``root.post`` (the one ordinal nothing else
+constrains).  Renumber frequency and cost are observable via the
+``interval.renumber.*`` metrics, mirroring how the ordered store
+reports its sibling-dictionary maintenance.
 
-Three layers live here, none of which import the store (so the strategy
-registries can import this module without a cycle):
+Two layers live here, neither of which imports the store (so the
+strategy registries can import this module without a cycle):
 
 * :class:`OrdinalAllocator` — gapped window allocation + renumbering
-  over any table with ``(id, pre, post, level)`` columns.
-* :class:`IntervalIndex` — the ``node_interval`` side table that
-  interval-aware *strategies* and the interval store maintain alongside
-  an inlining mapping.
-* :class:`IntervalMapping` — a standalone single-table mapping (the
-  "fourth mapping" next to edge/attribute/inlining) used by the mapping
-  ablation benchmarks and the edge-equivalence property suite.
+  over the ``node_interval`` table.
+* :class:`IntervalIndex` — the side table itself: the only code that
+  assigns ordinals (at load, on positional inserts, on copies), used by
+  the interval-aware *strategies* and the interval store.
 """
 
 from __future__ import annotations
@@ -45,21 +40,17 @@ from typing import Iterable, Optional, Sequence
 from repro.errors import StorageError
 from repro.obs import get_registry
 from repro.relational.database import Database
-from repro.relational.edge import (
-    KIND_ATTRIBUTE,
-    KIND_ELEMENT,
-    KIND_REF,
-    KIND_TEXT,
-    _count_objects,
-)
-from repro.relational.idgen import IdAllocator
-from repro.relational.schema import (
-    DEFAULT_INTERVAL_GAP,
-    INTERVAL_TABLE,
-    MappingSchema,
-    interval_table_sql,
-)
-from repro.xmlmodel.model import Document, Element, Text
+from repro.relational.schema import MappingSchema
+
+#: Side table carrying the pre/post interval encoding of every
+#: relation-anchored tuple.
+INTERVAL_TABLE = "node_interval"
+
+#: Spacing between consecutive pre/post ordinals at load time.  Inserts
+#: bisect into the gaps; a localized renumbering re-spaces a scope only
+#: when its gap is exhausted.
+DEFAULT_INTERVAL_GAP = 64
+
 
 #: OR'd ``pre BETWEEN ? AND ?`` terms per DELETE / per INSERT…SELECT CASE
 #: arm; keeps statements far under SQLite's parameter limit.
@@ -94,9 +85,7 @@ def merge_ranges(rows: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
 
 
 def coalesce_ranges(
-    db: Database,
-    ranges: Sequence[tuple[int, int]],
-    table: str = INTERVAL_TABLE,
+    db: Database, ranges: Sequence[tuple[int, int]]
 ) -> list[tuple[int, int]]:
     """Fuse adjacent ranges whose separating gap holds no live row.
 
@@ -123,7 +112,7 @@ def coalesce_ranges(
             params.extend((lo, hi))
         rows = db.query(
             f"SELECT g.column1 FROM (VALUES {values}) g "
-            f"JOIN {table} n ON n.pre BETWEEN g.column1 AND g.column2 "
+            f"JOIN {INTERVAL_TABLE} n ON n.pre BETWEEN g.column1 AND g.column2 "
             "GROUP BY g.column1",
             params,
         )
@@ -153,7 +142,7 @@ def _chunks(items: Sequence, size: int) -> Iterable[Sequence]:
 
 
 class OrdinalAllocator:
-    """Gapped pre/post ordinal management over one interval table.
+    """Gapped pre/post ordinal management over the interval table.
 
     ``window_for_*`` return an exclusive window ``(lo, hi)`` whose
     interior holds at least ``need`` free integers at the requested
@@ -162,18 +151,16 @@ class OrdinalAllocator:
     stale — the plan cache's renumber generation bump keys off it.
     """
 
-    def __init__(self, db: Database, table: str = INTERVAL_TABLE,
-                 gap: int = DEFAULT_INTERVAL_GAP) -> None:
+    def __init__(self, db: Database, gap: int = DEFAULT_INTERVAL_GAP) -> None:
         if gap < 4:
             raise ValueError("interval gap must be at least 4")
         self.db = db
-        self.table = table
         self.gap = gap
         self.renumber_events = 0
 
     def bounds(self, node_id: int) -> tuple[int, int, int]:
         row = self.db.query_one(
-            f"SELECT pre, post, level FROM {self.table} WHERE id = ?", (node_id,)
+            f"SELECT pre, post, level FROM {INTERVAL_TABLE} WHERE id = ?", (node_id,)
         )
         if row is None:
             raise StorageError(f"node {node_id} is not in the interval index")
@@ -188,9 +175,9 @@ class OrdinalAllocator:
             pre, post, _level = self.bounds(parent_id)
             row = self.db.query_one(
                 "SELECT MAX(v) FROM ("
-                f"SELECT MAX(pre) AS v FROM {self.table} WHERE pre > ? AND pre < ? "
+                f"SELECT MAX(pre) AS v FROM {INTERVAL_TABLE} WHERE pre > ? AND pre < ? "
                 "UNION ALL "
-                f"SELECT MAX(post) AS v FROM {self.table} WHERE post > ? AND post < ?)",
+                f"SELECT MAX(post) AS v FROM {INTERVAL_TABLE} WHERE post > ? AND post < ?)",
                 (pre, post, pre, post),
             )
             lo = row[0] if row is not None and row[0] is not None else pre
@@ -205,9 +192,9 @@ class OrdinalAllocator:
             apre, _apost, _level = self.bounds(anchor_id)
             row = self.db.query_one(
                 "SELECT MAX(v) FROM ("
-                f"SELECT MAX(pre) AS v FROM {self.table} WHERE pre < ? "
+                f"SELECT MAX(pre) AS v FROM {INTERVAL_TABLE} WHERE pre < ? "
                 "UNION ALL "
-                f"SELECT MAX(post) AS v FROM {self.table} WHERE post < ?)",
+                f"SELECT MAX(post) AS v FROM {INTERVAL_TABLE} WHERE post < ?)",
                 (apre, apre),
             )
             if row is None or row[0] is None:
@@ -224,9 +211,9 @@ class OrdinalAllocator:
             _apre, apost, _level = self.bounds(anchor_id)
             row = self.db.query_one(
                 "SELECT MIN(v) FROM ("
-                f"SELECT MIN(pre) AS v FROM {self.table} WHERE pre > ? "
+                f"SELECT MIN(pre) AS v FROM {INTERVAL_TABLE} WHERE pre > ? "
                 "UNION ALL "
-                f"SELECT MIN(post) AS v FROM {self.table} WHERE post > ?)",
+                f"SELECT MIN(post) AS v FROM {INTERVAL_TABLE} WHERE post > ?)",
                 (apost, apost),
             )
             if row is None or row[0] is None:
@@ -277,7 +264,7 @@ class OrdinalAllocator:
         # headroom amortises one renumber over many follow-up inserts.
         need = need + 4 * self.gap
         scopes = self.db.query(
-            f"SELECT id, pre, post FROM {self.table} "
+            f"SELECT id, pre, post FROM {INTERVAL_TABLE} "
             "WHERE pre <= ? AND post >= ? ORDER BY pre DESC",
             (lo, hi),
         )
@@ -287,7 +274,7 @@ class OrdinalAllocator:
         for position, (scope_id, spre, spost) in enumerate(scopes):
             at_root = position == len(scopes) - 1
             inside = self.db.query_one(
-                f"SELECT COUNT(*) FROM {self.table} WHERE pre > ? AND post < ?",
+                f"SELECT COUNT(*) FROM {INTERVAL_TABLE} WHERE pre > ? AND post < ?",
                 (spre, spost),
             )[0]
             events = 2 * inside
@@ -310,7 +297,7 @@ class OrdinalAllocator:
     def _respace(self, scope_id: int, spre: int, spost: int, lo: int,
                  need: int, step: int, widen_root: bool) -> None:
         rows = self.db.query(
-            f"SELECT id, pre, post FROM {self.table} "
+            f"SELECT id, pre, post FROM {INTERVAL_TABLE} "
             "WHERE pre > ? AND post < ? ORDER BY pre",
             (spre, spost),
         )
@@ -333,7 +320,7 @@ class OrdinalAllocator:
         end = cursor + step
         if widen_root:
             self.db.execute(
-                f"UPDATE {self.table} SET post = ? WHERE id = ?", (end, scope_id)
+                f"UPDATE {INTERVAL_TABLE} SET post = ? WHERE id = ?", (end, scope_id)
             )
         elif end > spost:
             raise StorageError("interval renumbering overflowed its scope")
@@ -346,10 +333,10 @@ class OrdinalAllocator:
         ]
         if updates:
             self.db.executemany(
-                f"UPDATE {self.table} SET pre = ?, post = ? WHERE id = ?", updates
+                f"UPDATE {INTERVAL_TABLE} SET pre = ?, post = ? WHERE id = ?", updates
             )
             self.db.execute(
-                f"UPDATE {self.table} SET pre = -pre, post = -post WHERE pre < 0"
+                f"UPDATE {INTERVAL_TABLE} SET pre = -pre, post = -post WHERE pre < 0"
             )
 
 
@@ -367,14 +354,24 @@ class IntervalIndex:
     positions_global = True
 
     def __init__(self, db: Database, schema: MappingSchema,
-                 gap: Optional[int] = None) -> None:
+                 gap: int = DEFAULT_INTERVAL_GAP) -> None:
         self.db = db
         self.schema = schema
-        for statement in interval_table_sql():
-            db.execute(statement)
-        self.space = OrdinalAllocator(
-            db, INTERVAL_TABLE, gap if gap is not None else schema.interval_gap
+        # Idempotent: the strategies and the store may share one table.
+        db.execute(
+            f"CREATE TABLE IF NOT EXISTS {INTERVAL_TABLE} ("
+            "id INTEGER PRIMARY KEY, pre INTEGER NOT NULL, "
+            "post INTEGER NOT NULL, level INTEGER NOT NULL)"
         )
+        db.execute(
+            f"CREATE UNIQUE INDEX IF NOT EXISTS idx_{INTERVAL_TABLE}_pre "
+            f"ON {INTERVAL_TABLE} (pre)"
+        )
+        db.execute(
+            f"CREATE INDEX IF NOT EXISTS idx_{INTERVAL_TABLE}_post "
+            f"ON {INTERVAL_TABLE} (post)"
+        )
+        self.space = OrdinalAllocator(db, gap)
         self._reported_renumbers = 0
 
     @property
@@ -385,28 +382,40 @@ class IntervalIndex:
         return self.db.query_one(f"SELECT COUNT(*) FROM {INTERVAL_TABLE}")[0]
 
     # ------------------------------------------------------------------
-    # (Re)building
+    # Indexing whole documents
     # ------------------------------------------------------------------
     def ensure_populated(self) -> None:
-        """Index the mapping's existing tuples unless already indexed."""
-        if self.count() == 0:
-            self._index_all()
+        """Index every document the index does not hold yet (adopting a
+        database that predates the index, or installing a strategy)."""
+        self._index_documents(f"id NOT IN (SELECT id FROM {INTERVAL_TABLE})")
 
-    def _index_all(self) -> None:
+    def _index_documents(self, unindexed_sql: str, params: Sequence = ()) -> None:
+        """Give the unindexed root tuples that ``unindexed_sql`` selects,
+        and the tuples below them, gapped ordinals, then commit.
+
+        One depth-first walk per document, starting past ``MAX(post)``
+        so a later document follows the earlier ones.  The shredder
+        assigns ids depth-first, so sorting siblings by id is document
+        order.  The commit makes the index as durable as the data the
+        shredder already committed: a later rolled-back statement must
+        not take a loaded document's ordinals with it."""
         by_parent: dict[int, list[int]] = {}
         root_ids: list[int] = []
         for relation in self.schema.iter_top_down():
             for node_id, parent_id in self.db.query(
-                f'SELECT id, parentId FROM "{relation.name}"'
+                f'SELECT id, parentId FROM "{relation.name}" WHERE {unindexed_sql}',
+                params,
             ):
                 if parent_id is None:
                     root_ids.append(node_id)
                 else:
                     by_parent.setdefault(parent_id, []).append(node_id)
+        if not root_ids:
+            return
         for children in by_parent.values():
             children.sort()
         gap = self.space.gap
-        counter = 0
+        counter = self.db.query_one(f"SELECT MAX(post) FROM {INTERVAL_TABLE}")[0] or 0
         rows: list[tuple[int, int, int, int]] = []
         for root in sorted(root_ids):
             stack: list[tuple[int, int, bool]] = [(root, 0, False)]
@@ -425,6 +434,7 @@ class IntervalIndex:
             f"INSERT INTO {INTERVAL_TABLE} (id, pre, post, level) VALUES (?, ?, ?, ?)",
             rows,
         )
+        self.db.commit()
 
     # ------------------------------------------------------------------
     # Range lookups
@@ -569,8 +579,12 @@ class IntervalIndex:
     # Side-table hooks (called by XmlStore)
     # ------------------------------------------------------------------
     def after_load(self) -> None:
-        """Nothing to do: the shredder writes a loaded document's rows
-        itself (``schema.intervals``)."""
+        """Index the document a load just wrote.  Ids are allocated
+        monotonically, so its tuples are exactly those above the highest
+        indexed id: the walk reads one primary-key range per relation,
+        not the whole store."""
+        newest = self.db.query_one(f"SELECT MAX(id) FROM {INTERVAL_TABLE}")[0]
+        self._index_documents("id > ?", (newest or 0,))
 
     def place(self, new_id: int, anchor_id: int, parent_id: int,
               before: bool, size: int) -> None:
@@ -648,311 +662,3 @@ class IntervalIndex:
                     "their parent's"
                 )
 
-
-class IntervalMapping:
-    """The standalone fourth mapping: one ``accel`` table, pre/post axes.
-
-    Mirrors :class:`~repro.relational.edge.EdgeMapping`'s API (and its
-    object emission order, so reconstruction serializes byte-identically)
-    while replacing every structural operation with a range scan.
-    """
-
-    TABLE_SQL = """\
-CREATE TABLE accel (
-    id INTEGER PRIMARY KEY,
-    parentId INTEGER,
-    kind TEXT NOT NULL,
-    name TEXT,
-    value TEXT,
-    pre INTEGER NOT NULL,
-    post INTEGER NOT NULL,
-    level INTEGER NOT NULL
-)"""
-
-    def __init__(self, db: Optional[Database] = None,
-                 gap: int = DEFAULT_INTERVAL_GAP) -> None:
-        self.db = db or Database()
-        self.db.execute(self.TABLE_SQL)
-        self.db.execute("CREATE UNIQUE INDEX idx_accel_pre ON accel (pre)")
-        self.db.execute("CREATE INDEX idx_accel_post ON accel (post)")
-        self.db.execute("CREATE INDEX idx_accel_name ON accel (name)")
-        self.allocator = IdAllocator(self.db)
-        self.space = OrdinalAllocator(self.db, "accel", gap)
-
-    # ------------------------------------------------------------------
-    # Loading
-    # ------------------------------------------------------------------
-    def load(self, document: Document) -> int:
-        rows: list[tuple] = []
-        total = _count_objects(document.root)
-        next_id = self.allocator.reserve(total)
-        gap = self.space.gap
-        counter = 0
-
-        def ordinal() -> int:
-            nonlocal counter
-            counter += gap
-            return counter
-
-        def emit(element: Element, parent_id: Optional[int], level: int) -> int:
-            nonlocal next_id
-            element_id = next_id
-            next_id += 1
-            pre = ordinal()
-            for attribute in element.attributes.values():
-                rows.append((next_id, element_id, KIND_ATTRIBUTE, attribute.name,
-                             attribute.value, ordinal(), ordinal(), level + 1))
-                next_id += 1
-            for reference in element.references.values():
-                for entry in reference.entries:
-                    rows.append((next_id, element_id, KIND_REF, reference.name,
-                                 entry.target, ordinal(), ordinal(), level + 1))
-                    next_id += 1
-            for child in element.children:
-                if isinstance(child, Text):
-                    rows.append((next_id, element_id, KIND_TEXT, None, child.value,
-                                 ordinal(), ordinal(), level + 1))
-                    next_id += 1
-                else:
-                    emit(child, element_id, level + 1)
-            rows.append((element_id, parent_id, KIND_ELEMENT, element.name, None,
-                         pre, ordinal(), level))
-            return element_id
-
-        root_id = emit(document.root, None, 0)
-        self.db.executemany(
-            "INSERT INTO accel (id, parentId, kind, name, value, pre, post, level) "
-            "VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
-            rows,
-        )
-        self.db.commit()
-        return root_id
-
-    # ------------------------------------------------------------------
-    # Queries
-    # ------------------------------------------------------------------
-    def element_ids(self, name: str,
-                    child_text: Optional[tuple[str, str]] = None) -> list[int]:
-        if child_text is None:
-            rows = self.db.query(
-                "SELECT id FROM accel WHERE kind = ? AND name = ? ORDER BY pre",
-                (KIND_ELEMENT, name),
-            )
-            return [row[0] for row in rows]
-        child_name, text = child_text
-        rows = self.db.query(
-            "SELECT e.id FROM accel e JOIN accel c ON c.parentId = e.id "
-            "JOIN accel t ON t.parentId = c.id "
-            "WHERE e.kind = ? AND e.name = ? AND c.kind = ? AND c.name = ? "
-            "AND t.kind = ? AND t.value = ? ORDER BY e.pre",
-            (KIND_ELEMENT, name, KIND_ELEMENT, child_name, KIND_TEXT, text),
-        )
-        return [row[0] for row in rows]
-
-    def _axis(self, sql: str, params: Sequence) -> list[int]:
-        return [row[0] for row in self.db.query(sql, params)]
-
-    def descendant_ids(self, element_id: int) -> list[int]:
-        pre, post, _level = self.space.bounds(element_id)
-        return self._axis(
-            "SELECT id FROM accel WHERE kind = ? AND pre > ? AND pre < ? "
-            "ORDER BY pre",
-            (KIND_ELEMENT, pre, post),
-        )
-
-    def ancestor_ids(self, element_id: int) -> list[int]:
-        pre, post, _level = self.space.bounds(element_id)
-        return self._axis(
-            "SELECT id FROM accel WHERE kind = ? AND pre < ? AND post > ? "
-            "ORDER BY pre",
-            (KIND_ELEMENT, pre, post),
-        )
-
-    def following_ids(self, element_id: int) -> list[int]:
-        _pre, post, _level = self.space.bounds(element_id)
-        return self._axis(
-            "SELECT id FROM accel WHERE kind = ? AND pre > ? ORDER BY pre",
-            (KIND_ELEMENT, post),
-        )
-
-    def preceding_ids(self, element_id: int) -> list[int]:
-        pre, _post, _level = self.space.bounds(element_id)
-        return self._axis(
-            "SELECT id FROM accel WHERE kind = ? AND post < ? ORDER BY pre",
-            (KIND_ELEMENT, pre),
-        )
-
-    def child_ids(self, element_id: int) -> list[int]:
-        return self._axis(
-            "SELECT id FROM accel WHERE kind = ? AND parentId = ? ORDER BY pre",
-            (KIND_ELEMENT, element_id),
-        )
-
-    def reconstruct(self, element_id: int) -> Element:
-        """Rebuild a subtree from one ordered range scan.
-
-        ``ORDER BY pre`` is document order, so every parent arrives
-        before its children and siblings arrive in order — no recursive
-        CTE and no client-side re-sort.
-        """
-        pre, post, _level = self.space.bounds(element_id)
-        rows = self.db.query(
-            "SELECT id, parentId, kind, name, value FROM accel "
-            "WHERE pre BETWEEN ? AND ? ORDER BY pre",
-            (pre, post),
-        )
-        by_id: dict[int, Element] = {}
-        root: Optional[Element] = None
-        for row_id, parent_id, kind, name, value in rows:
-            if kind == KIND_ELEMENT:
-                element = Element(name)
-                by_id[row_id] = element
-                if row_id == element_id:
-                    root = element
-                else:
-                    by_id[parent_id].append_child(element)
-            elif kind == KIND_ATTRIBUTE:
-                by_id[parent_id].set_attribute(name, value)
-            elif kind == KIND_REF:
-                by_id[parent_id].add_reference(name, value)
-            elif kind == KIND_TEXT:
-                by_id[parent_id].append_child(Text(value))
-        if root is None:
-            raise LookupError(f"no element with id {element_id}")
-        return root
-
-    def to_document(self) -> Document:
-        row = self.db.query_one(
-            "SELECT id FROM accel WHERE parentId IS NULL AND kind = ?",
-            (KIND_ELEMENT,),
-        )
-        if row is None:
-            raise LookupError("mapping holds no document")
-        return Document(self.reconstruct(row[0]))
-
-    # ------------------------------------------------------------------
-    # Updates
-    # ------------------------------------------------------------------
-    def delete_subtrees(self, ids: Sequence[int]) -> None:
-        """Delete whole subtrees as range deletes — one statement per
-        :data:`MAX_RANGES_PER_DELETE` subtrees, regardless of their size."""
-        if not ids:
-            return
-        placeholders = ", ".join("?" for _ in ids)
-        ranges = merge_ranges(
-            self.db.query(
-                f"SELECT pre, post FROM accel WHERE id IN ({placeholders}) "
-                "ORDER BY pre",
-                tuple(ids),
-            )
-        )
-        ranges = coalesce_ranges(self.db, ranges, table="accel")
-        get_registry().counter("interval.range_deletes").inc()
-        for chunk in _chunks(ranges, MAX_RANGES_PER_DELETE):
-            predicate, params = range_predicate(chunk)
-            self.db.execute(f"DELETE FROM accel WHERE {predicate}", params)
-
-    def copy_subtree(self, element_id: int, new_parent_id: int) -> int:
-        """Copy one subtree under a new parent with one shift INSERT.
-
-        Ids were assigned depth-first, so the source subtree occupies a
-        contiguous id block; fresh ids are the block shifted by a
-        constant, and (pre, post) shift rigidly into a window reserved
-        under the new parent.
-        """
-        _pre, _post, parent_level = self.space.bounds(new_parent_id)
-        for _ in range(_MAX_RENUMBER_ATTEMPTS):
-            pre, post, level = self.space.bounds(element_id)
-            marker = self.space.renumber_events
-            lo, _hi = self.space.window_for_append(new_parent_id, post - pre + 2)
-            if self.space.renumber_events == marker:
-                break
-        else:
-            raise StorageError("interval copy window did not stabilise")
-        min_id, max_id = self.db.query_one(
-            "SELECT MIN(id), MAX(id) FROM accel WHERE pre BETWEEN ? AND ?",
-            (pre, post),
-        )
-        offset = self.allocator.reserve(max_id - min_id + 1) - min_id
-        delta = lo + 1 - pre
-        self.db.execute(
-            "INSERT INTO accel (id, parentId, kind, name, value, pre, post, level) "
-            "SELECT id + ?, CASE WHEN id = ? THEN ? ELSE parentId + ? END, "
-            "kind, name, value, pre + ?, post + ?, level + ? "
-            "FROM accel WHERE pre BETWEEN ? AND ?",
-            (offset, element_id, new_parent_id, offset, delta, delta,
-             parent_level + 1 - level, pre, post),
-        )
-        return element_id + offset
-
-    def insert_subtree(self, element: Element, parent_id: Optional[int] = None,
-                       before_id: Optional[int] = None,
-                       after_id: Optional[int] = None) -> int:
-        """Insert constructed content at a position (append / before /
-        after), bisecting the gapped ordinal space."""
-        total = _count_objects(element)
-        need = 2 * total
-        if before_id is not None:
-            _apre, _apost, level = self.space.bounds(before_id)
-            lo, hi = self.space.window_for_before(before_id, need)
-            pack = "low"
-        elif after_id is not None:
-            _apre, _apost, level = self.space.bounds(after_id)
-            lo, hi = self.space.window_for_after(after_id, need)
-            pack = "high"
-        elif parent_id is not None:
-            _ppre, _ppost, parent_level = self.space.bounds(parent_id)
-            level = parent_level + 1
-            lo, hi = self.space.window_for_append(parent_id, need)
-            pack = "low"
-        else:
-            raise StorageError("insert_subtree needs a parent or an anchor")
-        slots = iter(self.space.place(lo, hi, need, pack=pack))
-        next_id = self.allocator.reserve(total)
-        rows: list[tuple] = []
-        if before_id is not None or after_id is not None:
-            anchor = before_id if before_id is not None else after_id
-            parent_id = self.db.query_one(
-                "SELECT parentId FROM accel WHERE id = ?", (anchor,)
-            )[0]
-
-        def emit(node: Element, parent: Optional[int], depth: int) -> int:
-            nonlocal next_id
-            node_id = next_id
-            next_id += 1
-            pre = next(slots)
-            for attribute in node.attributes.values():
-                rows.append((next_id, node_id, KIND_ATTRIBUTE, attribute.name,
-                             attribute.value, next(slots), next(slots), depth + 1))
-                next_id += 1
-            for reference in node.references.values():
-                for entry in reference.entries:
-                    rows.append((next_id, node_id, KIND_REF, reference.name,
-                                 entry.target, next(slots), next(slots), depth + 1))
-                    next_id += 1
-            for child in node.children:
-                if isinstance(child, Text):
-                    rows.append((next_id, node_id, KIND_TEXT, None, child.value,
-                                 next(slots), next(slots), depth + 1))
-                    next_id += 1
-                else:
-                    emit(child, node_id, depth + 1)
-            rows.append((node_id, parent, KIND_ELEMENT, node.name, None,
-                         pre, next(slots), depth))
-            return node_id
-
-        root_id = emit(element, parent_id, level)
-        self.db.executemany(
-            "INSERT INTO accel (id, parentId, kind, name, value, pre, post, level) "
-            "VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
-            rows,
-        )
-        get_registry().counter("interval.inserts").inc()
-        return root_id
-
-    def count(self) -> int:
-        return self.db.query_one("SELECT COUNT(*) FROM accel")[0]
-
-    @property
-    def renumber_events(self) -> int:
-        return self.space.renumber_events

@@ -1,5 +1,5 @@
-"""An interval-indexed :class:`XmlStore` (the tentpole of the fourth
-mapping).
+"""An interval-indexed :class:`XmlStore`: the inlining mapping with a
+pre/post side table for document order.
 
 ``IntervalXmlStore`` is an :class:`XmlStore` with the ``node_interval``
 side table (:mod:`repro.relational.interval`) plugged in; the store
@@ -24,22 +24,19 @@ in the ``cache.plan.invalidations.*`` metrics).
 
 from __future__ import annotations
 
-from typing import Optional
-
-from repro.relational.interval import IntervalIndex
+from repro.relational.interval import DEFAULT_INTERVAL_GAP, IntervalIndex
 from repro.relational.store import XmlStore
 
 
 class IntervalXmlStore(XmlStore):
     """XmlStore plus pre/post interval maintenance and range-scan axes."""
 
-    def __init__(self, schema, *args, interval_gap: Optional[int] = None,
+    def __init__(self, schema, *args, interval_gap: int = DEFAULT_INTERVAL_GAP,
                  **kwargs) -> None:
-        schema.intervals = True
-        if interval_gap is not None:
-            schema.interval_gap = interval_gap
         super().__init__(schema, *args, **kwargs)
-        self._interval_index = self._side_table = IntervalIndex(self.db, self.schema)
+        self._interval_index = self._side_table = IntervalIndex(
+            self.db, self.schema, gap=interval_gap
+        )
         # Adopting a database whose tuples predate the index (or predate
         # this subclass) still yields a usable store.
         self._interval_index.ensure_populated()

@@ -27,32 +27,6 @@ FIELD_ATTRIBUTE = "attribute"  # a CDATA/ID attribute
 FIELD_REFS = "refs"  # an IDREF/IDREFS attribute (space-separated IDs)
 FIELD_PRESENCE = "presence"  # flag: inlined optional non-leaf element exists
 
-#: Side table carrying the pre/post interval encoding (XPath accelerator)
-#: of every relation-anchored tuple.  Interval-aware stores
-#: (:mod:`repro.relational.interval`) keep it in sync; structural axes
-#: and subtree deletes then become range predicates over ``pre``.
-INTERVAL_TABLE = "node_interval"
-
-#: Spacing between consecutive pre/post ordinals at load time.  Inserts
-#: bisect into the gaps; a localized renumbering re-spaces a scope only
-#: when its gap is exhausted.
-DEFAULT_INTERVAL_GAP = 64
-
-
-def interval_table_sql() -> list[str]:
-    """DDL for the interval side table (idempotent: strategies may
-    install it next to an already-created mapping)."""
-    return [
-        f"CREATE TABLE IF NOT EXISTS {INTERVAL_TABLE} ("
-        "id INTEGER PRIMARY KEY, pre INTEGER NOT NULL, "
-        "post INTEGER NOT NULL, level INTEGER NOT NULL)",
-        f"CREATE UNIQUE INDEX IF NOT EXISTS idx_{INTERVAL_TABLE}_pre "
-        f"ON {INTERVAL_TABLE} (pre)",
-        f"CREATE INDEX IF NOT EXISTS idx_{INTERVAL_TABLE}_post "
-        f"ON {INTERVAL_TABLE} (post)",
-    ]
-
-
 @dataclass(frozen=True)
 class InlinedField:
     """One data column of a relation.
@@ -148,11 +122,6 @@ class MappingSchema:
     kind: str  # 'inlining' | 'edge' | 'attribute'
     root: str  # root relation name
     relations: dict[str, Relation] = field(default_factory=dict)
-    #: when set, the mapping carries the :data:`INTERVAL_TABLE` side
-    #: table and the shredder emits gapped (pre, post, level) ordinals
-    #: for every tuple it loads
-    intervals: bool = False
-    interval_gap: int = DEFAULT_INTERVAL_GAP
 
     def relation(self, name: str) -> Relation:
         try:
@@ -216,6 +185,4 @@ class MappingSchema:
     def create_all_sql(self) -> list[str]:
         statements = [relation.create_table_sql() for relation in self.iter_top_down()]
         statements.extend(self.create_index_sql())
-        if self.intervals:
-            statements.extend(interval_table_sql())
         return statements

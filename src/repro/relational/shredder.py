@@ -20,7 +20,6 @@ from repro.relational.schema import (
     FIELD_PCDATA,
     FIELD_PRESENCE,
     FIELD_REFS,
-    INTERVAL_TABLE,
     MappingSchema,
     Relation,
 )
@@ -46,12 +45,7 @@ def shred_document(
     measured experiment).
     """
     allocator = allocator or IdAllocator(db)
-    shredder = _Shredder(schema, allocator, intervals=schema.intervals)
-    if schema.intervals:
-        # Multi-document stores append into the ordinal space past the
-        # last occupied post value.
-        row = db.query_one(f"SELECT MAX(post) FROM {INTERVAL_TABLE}")
-        shredder._ordinal = row[0] or 0
+    shredder = _Shredder(schema, allocator)
     root_id = shredder.shred(document.root)
     for relation_name, rows in shredder.rows.items():
         relation = schema.relation(relation_name)
@@ -61,32 +55,16 @@ def shred_document(
             f'INSERT INTO "{relation_name}" ({columns}) VALUES ({placeholders})',
             rows,
         )
-    if shredder.interval_rows:
-        db.executemany(
-            f"INSERT INTO {INTERVAL_TABLE} (id, pre, post, level) VALUES (?, ?, ?, ?)",
-            shredder.interval_rows,
-        )
     db.commit()
     return root_id
 
 
 class _Shredder:
-    def __init__(
-        self,
-        schema: MappingSchema,
-        allocator: IdAllocator,
-        intervals: bool = False,
-    ) -> None:
+    def __init__(self, schema: MappingSchema, allocator: IdAllocator) -> None:
         self.schema = schema
         self.allocator = allocator
         self.rows: dict[str, list[tuple]] = {name: [] for name in schema.relations}
         self._count = 0
-        # Gapped pre/post ordinals, emitted only for whole-document loads
-        # (spliced subtrees are indexed after the fact by the store's
-        # interval index, which knows the insertion position).
-        self.intervals = intervals
-        self.interval_rows: list[tuple[int, int, int, int]] = []
-        self._ordinal = 0
 
     def shred(self, root_element: Element) -> int:
         root_relation = self.schema.relation(self.schema.root)
@@ -116,7 +94,6 @@ class _Shredder:
         element: Element,
         relation: Relation,
         parent_id: Optional[int],
-        level: int = 0,
     ) -> int:
         tuple_id = self._next_id
         self._next_id += 1
@@ -124,18 +101,12 @@ class _Shredder:
         for inlined in relation.fields:
             row.append(extract_field(element, inlined))
         self.rows[relation.name].append(tuple(row))
-        if self.intervals:
-            self._ordinal += self.schema.interval_gap
-            pre = self._ordinal
         for child_relation in self.schema.child_relations(relation.name):
             anchor = element_at(element, child_relation.parent_path)
             if anchor is None:
                 continue
             for child in anchor.child_elements(child_relation.tag):
-                self._emit(child, child_relation, parent_id=tuple_id, level=level + 1)
-        if self.intervals:
-            self._ordinal += self.schema.interval_gap
-            self.interval_rows.append((tuple_id, pre, self._ordinal, level))
+                self._emit(child, child_relation, parent_id=tuple_id)
         return tuple_id
 
 

@@ -13,10 +13,6 @@ class TestBenchMain:
         out = capsys.readouterr().out
         assert "Figure 7" in out
         assert "per_tuple_trigger" in out
-        assert main(["--only", "mapping", "--smoke"]) == 0
-        out = capsys.readouterr().out
-        assert "Ablation: interval" in out
-        assert "delete_bulk[interval]" in out
 
     def test_json_output(self, tmp_path, capsys):
         path = tmp_path / "results.json"
@@ -26,10 +22,13 @@ class TestBenchMain:
         series = next(iter(payload.values()))
         assert {"method", "x", "seconds"} <= set(series[0])
 
-    # The service is measured by perf/ alone: its old series names are
-    # refused like any other unknown name, never silently ignored.
+    # The service is measured by perf/ alone and the interval mapping
+    # ablation is gone: their old series names are refused like any
+    # other unknown name, never silently ignored.
     @pytest.mark.parametrize(
-        "name", ["fig99", "service", "recovery", "net", "read", "checkpoint", "shards"]
+        "name",
+        ["fig99", "service", "recovery", "net", "read", "checkpoint", "shards",
+         "mapping"],
     )
     def test_unknown_experiment_rejected(self, name, capsys):
         with pytest.raises(SystemExit) as raised:

@@ -1,116 +1,71 @@
-"""Property: the interval mapping agrees with the edge mapping (and with
-an in-memory model) across randomized update sequences."""
+"""Property: the interval store agrees with the §3 update executor.
 
+Random ``INSERT … BEFORE``/``AFTER``, append and ``DELETE`` statements
+run on an :class:`IntervalXmlStore` with a tiny ordinal gap (so
+renumbering triggers often) and on :class:`XQueryEngine` over the
+parsed document (ordered model).  Both must serialise the same
+document, byte for byte, after every step.  Appends bind no unused
+variable; the strict xfail below keeps that known divergence visible.
+"""
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.relational.edge import EdgeMapping
-from repro.relational.interval import IntervalMapping
-from repro.workloads.tpcw import CustomerParams, generate_customers
-from repro.xmlmodel.model import Element, Text
+from repro import XQueryEngine
+from repro.relational.interval_store import IntervalXmlStore
+from repro.workloads.tpcw import CUSTOMER_DTD, CustomerParams, generate_customers
+from repro.xmlmodel import parse
+from repro.xmlmodel.model import Element
 from repro.xmlmodel.serializer import serialize
 
-TAGS = ("Customer", "Order", "OrderLine")
+DOC = "custdb.xml"
+
+#: tag -> (its key child, the content a step inserts next to it)
+KEYS = {"Customer": "Name", "Order": "Date", "OrderLine": "ItemName"}
+CONTENT = {
+    "Customer": "<Customer><Name>{label}</Name><Address><City>c</City>"
+                "<State>s</State></Address></Customer>",
+    "Order": "<Order><Date>{label}</Date><Status>new</Status><OrderLine>"
+             "<ItemName>{label}</ItemName><Qty>1</Qty></OrderLine></Order>",
+    "OrderLine": "<OrderLine><ItemName>{label}</ItemName><Qty>1</Qty></OrderLine>",
+}
 
 
-def build_pair(seed: int, customers: int):
-    document = generate_customers(CustomerParams(customers=customers, seed=seed))
-    edge = EdgeMapping()
-    edge_root = edge.load(document)
-    interval = IntervalMapping()
-    interval.load(document)
-    interval_root = interval.element_ids(document.root.name)[0]
-    return edge, edge_root, interval, interval_root
-
-
-def serialized(mapping, root_id):
-    return serialize(mapping.reconstruct(root_id), indent=0)
-
-
-class TestEdgeEquivalence:
-    @given(
-        seed=st.integers(0, 500),
-        customers=st.integers(2, 8),
-        rounds=st.lists(
-            st.tuples(st.sampled_from(TAGS), st.integers(0, 30)),
-            min_size=1,
-            max_size=5,
-        ),
-    )
-    @settings(max_examples=25, deadline=None)
-    def test_random_deletes_stay_byte_identical(self, seed, customers, rounds):
-        edge, edge_root, interval, interval_root = build_pair(seed, customers)
-        try:
-            for tag, pick in rounds:
-                # Both element_ids listings are in document order, so the
-                # same index names the same element in both mappings.
-                edge_ids = edge.element_ids(tag)
-                interval_ids = interval.element_ids(tag)
-                assert len(edge_ids) == len(interval_ids)
-                if not edge_ids:
-                    continue
-                index = pick % len(edge_ids)
-                edge.delete_subtrees([edge_ids[index]])
-                interval.delete_subtrees([interval_ids[index]])
-                assert serialized(edge, edge_root) == serialized(
-                    interval, interval_root
-                )
-        finally:
-            edge.db.close()
-            interval.db.close()
-
-    @given(seed=st.integers(0, 500), customers=st.integers(2, 6))
-    @settings(max_examples=10, deadline=None)
-    def test_batched_delete_equals_one_by_one(self, seed, customers):
-        edge, edge_root, interval, interval_root = build_pair(seed, customers)
-        try:
-            edge.delete_subtrees(edge.element_ids("Order"))
-            for order_id in interval.element_ids("Order"):
-                interval.delete_subtrees([order_id])
-            assert serialized(edge, edge_root) == serialized(interval, interval_root)
-        finally:
-            edge.db.close()
-            interval.db.close()
-
-
-def model_elements(root: Element, tag: str) -> list[Element]:
-    """Elements with ``tag`` in document order (the model-side mirror of
-    ``element_ids``)."""
+def elements_in_order(root: Element, tag: str) -> list[list[Element]]:
+    """Root-to-element paths of every ``tag`` element, in document order."""
     found = []
 
-    def walk(element: Element) -> None:
-        if element.name == tag:
-            found.append(element)
-        for child in element.children:
-            if isinstance(child, Element):
-                walk(child)
+    def walk(path: list[Element]) -> None:
+        for child in path[-1].child_elements():
+            if child.name == tag:
+                found.append(path + [child])
+            walk(path + [child])
 
-    walk(root)
+    walk([root])
     return found
 
 
-def model_parent(root: Element, target: Element) -> Element:
-    def walk(element: Element):
-        for child in element.children:
-            if isinstance(child, Element):
-                if child is target:
-                    return element
-                below = walk(child)
-                if below is not None:
-                    return below
-        return None
-
-    parent = walk(root)
-    assert parent is not None
-    return parent
+def step_path(element: Element) -> str:
+    key = KEYS[element.name]
+    return f'{element.name}[{key}="{element.child_elements(key)[0].text()}"]'
 
 
-def new_note(label: str) -> Element:
-    note = Element("Note")
-    text = Element("Text")
-    text.append_child(Text(label))
-    note.append_child(text)
-    return note
+def statement(action: str, path: list[Element], label: str) -> str:
+    """The update statement that applies ``action`` to the element at the
+    end of ``path``, addressed by its ancestors' key values.  An append
+    goes under the element's parent and binds no ``$t``: the store runs
+    an update once per target tuple, not once per binding."""
+    parent = "/".join([path[0].name] + [step_path(e) for e in path[1:-1]])
+    content = CONTENT[path[-1].name].format(label=label)
+    if action == "append":
+        return (f'FOR $p IN document("{DOC}")/{parent} '
+                f"UPDATE $p {{ INSERT {content} }}")
+    bind = (f'FOR $p IN document("{DOC}")/{parent}, $t IN $p/{step_path(path[-1])} '
+            "UPDATE $p")
+    if action == "delete":
+        return f"{bind} {{ DELETE $t }}"
+    return f"{bind} {{ INSERT {content} {action.upper()} $t }}"
 
 
 class TestModelEquivalence:
@@ -120,7 +75,7 @@ class TestModelEquivalence:
         ops=st.lists(
             st.tuples(
                 st.sampled_from(["before", "after", "append", "delete"]),
-                st.sampled_from(TAGS),
+                st.sampled_from(sorted(KEYS)),
                 st.integers(0, 30),
             ),
             min_size=1,
@@ -129,44 +84,51 @@ class TestModelEquivalence:
     )
     @settings(max_examples=20, deadline=None)
     def test_positional_updates_match_in_memory_model(self, seed, customers, ops):
-        """With a tiny gap (renumbering triggers often), every positional
-        insert and delete produces exactly the document an in-memory
-        model predicts."""
-        document = generate_customers(CustomerParams(customers=customers, seed=seed))
-        interval = IntervalMapping(gap=4)
-        interval.load(document)
-        model_root = document.root
+        text = serialize(
+            generate_customers(CustomerParams(customers=customers, seed=seed)).root,
+            indent=0,
+        )
+        model = parse(text)
+        engine = XQueryEngine({DOC: model})
+        store = IntervalXmlStore.from_dtd(CUSTOMER_DTD, document_name=DOC,
+                                          interval_gap=4)
+        store.load(parse(text))
         try:
             for step, (action, tag, pick) in enumerate(ops):
-                targets = model_elements(model_root, tag)
-                ids = interval.element_ids(tag)
-                assert len(targets) == len(ids)
-                if not targets:
+                paths = elements_in_order(model.root, tag)
+                if not paths:
                     continue
-                index = pick % len(targets)
-                target, target_id = targets[index], ids[index]
-                if action == "delete":
-                    parent = model_parent(model_root, target)
-                    parent.children.remove(target)
-                    interval.delete_subtrees([target_id])
-                    continue
-                label = f"s{step}"
-                if action == "append":
-                    target.append_child(new_note(label))
-                    interval.insert_subtree(new_note(label), parent_id=target_id)
-                else:
-                    parent = model_parent(model_root, target)
-                    position = parent.children.index(target)
-                    if action == "after":
-                        position += 1
-                    parent.children.insert(position, new_note(label))
-                    interval.insert_subtree(
-                        new_note(label),
-                        before_id=target_id if action == "before" else None,
-                        after_id=target_id if action == "after" else None,
-                    )
-            assert serialize(interval.to_document().root, indent=0) == serialize(
-                model_root, indent=0
-            )
+                update = statement(action, paths[pick % len(paths)], f"s{step}")
+                engine.execute(update)
+                store.execute(update)
+                assert serialize(store.to_document().root, indent=0) == serialize(
+                    model.root, indent=0
+                ), update
+            store.interval.validate()
         finally:
-            interval.db.close()
+            store.close()
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the store runs an update once per target tuple, the executor "
+           "once per binding (an unused FOR variable multiplies its inserts)",
+)
+def test_unused_binding_inserts_as_often_as_the_executor(customer_document):
+    text = serialize(customer_document.root, indent=0)
+    update = (
+        f'FOR $p IN document("{DOC}")/CustDB/Customer[Name="John"], '
+        "$t IN $p/Order UPDATE $p { INSERT <Order><Date>2001-01-01</Date>"
+        "<Status>new</Status></Order> }"
+    )
+    model = parse(text)
+    XQueryEngine({DOC: model}).execute(update)
+    store = IntervalXmlStore.from_dtd(CUSTOMER_DTD, document_name=DOC)
+    store.load(parse(text))
+    try:
+        store.execute(update)
+        assert serialize(store.to_document().root, indent=0) == serialize(
+            model.root, indent=0
+        )
+    finally:
+        store.close()

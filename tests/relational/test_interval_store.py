@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.errors import TranslationError
 from repro.obs import counter_delta, get_registry
 from repro.relational.interval_store import IntervalXmlStore
 from repro.relational.store import XmlStore
@@ -51,6 +52,51 @@ class TestIndexLifecycle:
         adopted.interval.validate()
         assert adopted.interval.count() > 0
         adopted.close()
+
+    def test_sharing_a_schema_leaves_the_plain_store_alone(self, customer_document):
+        plain = XmlStore.from_dtd(CUSTOMER_DTD, document_name=DOC)
+        interval = IntervalXmlStore(plain.schema, document_name=DOC)
+        plain.load(customer_document)
+        assert plain.db.query_one(
+            "SELECT name FROM sqlite_master WHERE name = 'node_interval'"
+        ) is None
+        interval.load(customer_document)
+        interval.interval.validate()
+        plain.close()
+        interval.close()
+
+    def test_second_document_appends_past_the_first(self, store, customer_document):
+        first_post = store.db.query_one("SELECT MAX(post) FROM node_interval")[0]
+        first_ids = {row[0] for row in store.db.query("SELECT id FROM node_interval")}
+        store.load(customer_document)
+        store.interval.validate()
+        second = store.db.query(
+            "SELECT pre FROM node_interval WHERE id NOT IN "
+            f"({', '.join(str(i) for i in first_ids)})"
+        )
+        assert len(second) == len(first_ids)
+        assert min(pre for (pre,) in second) > first_post
+
+    def test_failed_statement_after_load_keeps_the_index(self, store):
+        indexed = store.interval.count()
+        with pytest.raises(TranslationError):
+            store.execute(
+                f'FOR $x IN document("{DOC}")/CustDB UPDATE $y {{ DELETE $x }}'
+            )
+        assert store.interval.count() == indexed
+        store.interval.validate()
+        store.execute(
+            f"""
+            FOR $c IN document("{DOC}")/CustDB/Customer[Name="John"],
+                $o IN $c/Order[Date="2000-06-12"]
+            UPDATE $c {{
+                INSERT <Order><Date>2000-06-01</Date><Status>new</Status>
+                </Order> BEFORE $o
+            }}
+            """
+        )
+        assert john_order_dates(store) == ["2000-05-01", "2000-06-01", "2000-06-12"]
+        store.interval.validate()
 
     def test_update_statement_sweeps_index(self, store):
         before = store.interval.count()
