@@ -29,8 +29,9 @@ the XML file's basename (override with ``--name``).
 
 ``serve`` runs the durable update service over the document: statements
 read from stdin (one per line) go through ``UpdateService.execute`` —
-an update runs on a copy of the hosted document, its recorded effect is
-group-committed through the write-ahead log as one delta, and applied;
+an update runs on the committer, in place on the hosted document, and
+its recorded effect is group-committed through the write-ahead log as
+one delta (a statement that fails part-way is undone and logs nothing);
 ``--checkpoint-every`` / ``--checkpoint-bytes`` arm the automatic
 checkpoint policy (snapshot the state, retire covered WAL segments).
 With ``--listen HOST:PORT`` the service is additionally fronted by the

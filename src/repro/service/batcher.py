@@ -18,13 +18,16 @@ Submitters get a :class:`Ticket` that resolves once their operation is
 durable *and* applied (or failed).  The queue is bounded: when it is
 full, ``submit`` blocks up to its timeout, providing backpressure.
 
-The commit discipline is: append every record → apply the batch →
-append a commit marker listing the sequence numbers whose apply
-succeeded → ``fsync`` once.  That single fsync is the durability point:
-tickets resolve only after it returns, and recovery replays exactly the
-operations a durable commit marker covers (an op logged but aborted —
-e.g. its whole per-document transaction rolled back — is skipped on
-replay, as is any torn tail past the last fsync).
+The commit discipline is: apply each operation and append the record
+that replays it (the apply callback does both, under the document's
+write lock, so records follow apply order) → append a commit marker
+listing the sequence numbers whose apply succeeded → ``fsync`` once.
+That single fsync is the durability point: tickets resolve only after
+it returns, and recovery replays exactly the operations a durable
+commit marker covers.  An operation that fails is undone by its host
+and appends nothing; a record logged for a group that then rolled back
+has no marker and is skipped on replay, as is any torn tail past the
+last fsync.
 """
 
 from __future__ import annotations
@@ -42,14 +45,17 @@ from repro.obs import get_registry, span
 from repro.service.ops import CommitMarker, ServiceOp, encode_op
 from repro.service.wal import WriteAheadLog
 
-#: apply callback: receives the batch in submission order plus each
-#: operation's WAL sequence number, and returns one entry per operation
-#: — None on success, an exception on failure.  The seqs let the server
-#: track, per document, the last applied sequence number (the fuzzy
-#: checkpoint's covered-seq vector) under the same write locks the
-#: apply itself holds.
+#: ``log(index, record)``: append ``record`` as the WAL record of the
+#: batch's operation ``index`` and return its sequence number.
+LogRecord = Callable[[int, ServiceOp], int]
+
+#: apply callback: receives the batch in submission order plus the
+#: :data:`LogRecord` to call once per operation it applies (under the
+#: same write locks as the apply, so a fuzzy checkpoint never captures
+#: applied-but-unlogged state), and returns one entry per operation —
+#: None on success, an exception on failure.
 ApplyBatch = Callable[
-    [Sequence[ServiceOp], Sequence[Optional[int]]],
+    [Sequence[ServiceOp], LogRecord],
     Sequence[Optional[Exception]],
 ]
 
@@ -200,10 +206,10 @@ class GroupCommitBatcher:
         """Documents of the batch currently logging or applying.
 
         Read it *after* sampling ``wal.next_seq``: any document absent
-        from the set has no logged-but-unapplied record at or below
-        that sample (single committer thread; the set is assigned
-        before the batch's first append and cleared only after its
-        apply returns)."""
+        from the set has no record at or below that sample whose effect
+        its host has not yet committed (single committer thread; the
+        set is assigned before the batch's first append and cleared
+        only after its apply returns)."""
         return self._inflight_docs
 
     def _wait(self, deadline: Optional[float]) -> bool:
@@ -342,32 +348,30 @@ class GroupCommitBatcher:
         registry = get_registry()
         registry.histogram("batcher.batch_size").observe(len(batch))
         ops = [ticket.op for ticket in batch]
+        seqs: list[Optional[int]] = [None] * len(ops)
+
+        def log(index: int, record: ServiceOp) -> int:
+            seqs[index] = seq = self._append(record)
+            return seq
+
         # Publish the batch's documents *before* the first append: a
         # fuzzy checkpoint reading this set after sampling the WAL's
-        # high-water mark sees every document with a logged-but-
-        # unapplied record at or below its sample.
+        # high-water mark sees every document with a logged record at
+        # or below its sample that is not yet committed.
         self._inflight_docs = frozenset(op.doc for op in ops)
         try:
-            # 1. Log every operation (buffered; not yet durable).
-            try:
-                with span("wal.append", records=len(ops)):
-                    seqs = self._log(ops)
-            except Exception as error:  # WAL failure: nothing was applied
-                registry.counter("batcher.ops.failed").inc(len(batch))
-                for ticket in batch:
-                    ticket._fail(error)
-                return
-            # 2. Apply, collecting one outcome per operation.
+            # 1. Apply and log (buffered; not yet durable), one outcome
+            #    per operation.
             try:
                 with span("service.apply", ops=len(ops)):
-                    errors = list(self._apply_batch(ops, seqs))
+                    errors = list(self._apply_batch(ops, log))
                 if len(errors) != len(ops):
                     raise RuntimeError("apply callback returned a misaligned result")
             except Exception as error:
                 errors = [error] * len(ops)
         finally:
             self._inflight_docs = frozenset()
-        # 3. Commit marker + the batch's one fsync: the durability point.
+        # 2. Commit marker + the batch's one fsync: the durability point.
         committed = [
             seq for seq, err in zip(seqs, errors) if err is None and seq is not None
         ]
@@ -391,11 +395,9 @@ class GroupCommitBatcher:
             else:
                 ticket._fail(err)
 
-    def _log(self, ops: Sequence[ServiceOp]) -> list[Optional[int]]:
+    def _append(self, record: ServiceOp) -> int:
         if self._wal is None:
-            seqs = []
-            for _ in ops:
-                self._seq_counter += 1
-                seqs.append(self._seq_counter)
-            return seqs
-        return [self._wal.append(encode_op(op)) for op in ops]
+            self._seq_counter += 1
+            return self._seq_counter
+        with span("wal.append"):
+            return self._wal.append(encode_op(record))

@@ -25,8 +25,8 @@ Per kind, counted as handoffs between the loop and another thread:
   service's query pool and awaits that future: **2** each (loop → the
   working thread → loop).
 * ``execute``, ``flush`` and ``checkpoint`` block a thread by nature
-  (execute's copy-run-submit-wait, the batcher barrier, the checkpoint
-  capture), so their handlers run unchanged on the loop's default
+  (execute's wait on the committer running its statement, the batcher
+  barrier, the checkpoint capture), so their handlers run unchanged on the loop's default
   executor — a different pool from the query pool, so a read
   ``execute``'s nested query cannot starve it.
 """

@@ -12,19 +12,21 @@ and per-document reader-writer locks:
 * ``query`` runs read-only work on a thread pool under the document's
   read lock, so readers proceed concurrently while writers serialise;
 * ``execute`` runs an XQuery statement server-side: a read as a query,
-  an update on a copy of the document whose recorded effect is
-  submitted as one delta;
+  an update on the committer, in place on the live document, logged as
+  the delta the executor recorded while it ran;
 * ``flush`` is a barrier over everything submitted before it;
 * ``close`` drains the queue, stops the committer, and closes the WAL.
 
 Batch application coalesces *adjacent* compatible relational operations
 per document — same kind, relation, and (for copies) target parent —
 into one strategy invocation, which is where the measured
-statements-per-update drop at batch size 64 comes from.  Store hosts
-get transactional batches: if any operation of a document's group
-fails, the whole group rolls back and every one of its tickets fails.
-Document hosts apply deltas in place, so a failing delta fails only its
-own ticket.
+statements-per-update drop at batch size 64 comes from.  Every host
+applies its share of a batch through one path, ``apply_group``; the
+host decides how much one failure takes back.  A store host's group is
+one transaction: if any operation fails, the whole group rolls back and
+every one of its tickets fails.  A document host applies each delta or
+statement in place under an :class:`~repro.xmlmodel.model.UndoLog`, so a
+failing one is undone and fails only its own ticket.
 """
 
 from __future__ import annotations
@@ -33,13 +35,13 @@ import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, Optional, Sequence, Union
 
 from repro.errors import ServiceClosedError, ServiceError, ServiceTimeoutError
 from repro.obs import get_registry, span
 from repro.relational.store import XmlStore
-from repro.service.batcher import GroupCommitBatcher, Ticket
+from repro.service.batcher import GroupCommitBatcher, LogRecord, Ticket
 from repro.service.faults import Filesystem
 from repro.service.locks import LockManager
 from repro.service.ops import DeltaUpdate, ServiceOp, SubtreeCopy, SubtreeDelete
@@ -47,18 +49,35 @@ from repro.service.recovery import RecoveryReport, replay
 from repro.service.snapshot import CheckpointManifest, SnapshotStore
 from repro.service.wal import WriteAheadLog
 from repro.updates.delta import DeltaOp, apply_delta
-from repro.xmlmodel.model import Document, Element
+from repro.xmlmodel.model import Document, Element, UndoLog
 from repro.xmlmodel.parser import XmlParser
 from repro.xmlmodel.policy import RefPolicy
 from repro.xmlmodel.serializer import serialize
 from repro.xpath.evaluator import string_value
+from repro.xquery.ast import Query
 from repro.xquery.engine import QueryResult, XQueryEngine
+
+#: One document's share of a batch: (index in the batch, operation).
+Entries = list[tuple[int, ServiceOp]]
+
+
+@dataclass(frozen=True)
+class StatementOp:
+    """An update statement ``execute`` hands the committer (never on the
+    wire or in the WAL): the document host runs ``query`` on its live
+    tree, filling ``recorded``, and logs that delta in its place."""
+
+    doc: str
+    query: Query
+    deadline: Optional[float]
+    recorded: list[DeltaOp] = field(default_factory=list, compare=False)
 
 
 class DocumentHost:
-    """An in-memory document served with delta updates."""
+    """An in-memory document served with delta updates and statements.
 
-    transactional = False
+    Every write runs in place and pushes its inverse onto ``undo``, which
+    :meth:`commit` clears and :meth:`rollback` replays."""
 
     def __init__(
         self, name: str, document: Document, policy: Optional[RefPolicy] = None
@@ -66,20 +85,44 @@ class DocumentHost:
         self.name = name
         self.document = document
         self.policy = policy or RefPolicy.default()
+        self.undo = UndoLog()
 
-    def apply(self, op: ServiceOp) -> None:
+    def apply(self, op: ServiceOp) -> DeltaUpdate:
+        """Apply one delta or statement; returns the record that replays it."""
+        if isinstance(op, StatementOp):
+            if op.deadline is not None and time.monotonic() >= op.deadline:
+                raise ServiceTimeoutError(
+                    f"statement on {self.name!r} expired while it was queued"
+                )
+            XQueryEngine({self.name: self.document}, policy=self.policy).execute(
+                op.query, recorder=op.recorded, undo=self.undo
+            )
+            return DeltaUpdate(self.name, tuple(op.recorded))
         if not isinstance(op, DeltaUpdate):
             raise ServiceError(
                 f"document host {self.name!r} only accepts delta updates, "
                 f"got {type(op).__name__}"
             )
-        apply_delta(self.document, list(op.ops), self.policy)
+        apply_delta(self.document, list(op.ops), self.policy, self.undo)
+        return op
 
-    def commit(self) -> None:  # in-memory: nothing to do
-        pass
+    def apply_group(self, entries: Entries, log: LogRecord, errors: list) -> None:
+        """Each operation alone: one that fails, or whose record cannot
+        be logged, is undone and logs nothing; the rest stand."""
+        for index, op in entries:
+            mark = self.undo.mark()
+            try:
+                log(index, self.apply(op))
+            except Exception as error:
+                self.undo.rollback(mark)
+                errors[index] = error
+        self.commit()
 
-    def rollback(self) -> None:  # in-memory: cannot undo
-        pass
+    def commit(self) -> None:
+        self.undo.clear()
+
+    def rollback(self) -> None:
+        self.undo.rollback()
 
     def serialize(self) -> str:
         return serialize(self.document)
@@ -94,8 +137,6 @@ class DocumentHost:
 
 class StoreHost:
     """An `XmlStore` served with relational subtree operations."""
-
-    transactional = True
 
     def __init__(self, name: str, store: XmlStore) -> None:
         self.name = name
@@ -113,6 +154,19 @@ class StoreHost:
                 f"store host {self.name!r} only accepts relational operations, "
                 f"got {type(op).__name__}"
             )
+
+    def apply_group(self, entries: Entries, log: LogRecord, errors: list) -> None:
+        """All or nothing: coalesce, apply, log each operation, commit once."""
+        try:
+            for group in _coalesce(entries):
+                self.apply(group)
+            for index, op in entries:
+                log(index, op)
+            self.commit()
+        except Exception as error:
+            self.rollback()
+            for index, _ in entries:
+                errors[index] = error
 
     def commit(self) -> None:
         self.store.db.commit()
@@ -298,11 +352,6 @@ class UpdateService:
         self._fs = fs or Filesystem()
         self._hosts: dict[str, Host] = {}
         self._locks = LockManager()
-        # `execute` is read-modify-write: one mutex per document keeps a
-        # statement from copying the document while another statement's
-        # delta is still on its way to the committer.
-        self._execute_locks: dict[str, threading.Lock] = {}
-        self._execute_mutex = threading.Lock()
         self._closed = False
         self.wal = (
             WriteAheadLog(
@@ -436,7 +485,11 @@ class UpdateService:
             host = self._hosts.get(op.doc)
             if host is None:
                 return False
-            host.apply(op)
+            try:
+                host.apply(op)
+            except Exception:
+                host.rollback()
+                raise
             host.commit()
             return True
 
@@ -476,7 +529,7 @@ class UpdateService:
         host = self.host(op.doc)
         # Fail obviously mistyped traffic at submission time rather than
         # poisoning a batch.
-        if isinstance(host, DocumentHost) and not isinstance(op, DeltaUpdate):
+        if isinstance(host, DocumentHost) and not isinstance(op, (DeltaUpdate, StatementOp)):
             raise ServiceError(f"{op.doc!r} is document-hosted; submit deltas")
         if isinstance(host, StoreHost) and isinstance(op, DeltaUpdate):
             raise ServiceError(f"{op.doc!r} is store-hosted; submit relational ops")
@@ -579,16 +632,17 @@ class UpdateService:
 
         A read answers ``{"results": [...]}`` from the query pool, under
         the read lock.  An update answers ``{"seq", "delta_ops"}``: the
-        statement runs on a copy of the live document, taken under its
-        read lock, with the executor recording each primitive's effect;
-        that delta is submitted and waited for.  The WAL thus holds the
-        statement's *effect*, which replays without re-evaluating a
-        binding, and a statement that fails part-way submits nothing.
+        parsed statement is queued like any write, and the committer
+        runs it in place on the live document, under its write lock,
+        with the executor recording each primitive's effect and its
+        inverse.  The recorded delta is logged as the statement's WAL
+        record, so the WAL holds its *effect*, which replays without
+        re-evaluating a binding.  A statement that fails part-way is
+        undone and logs nothing; one whose deadline passed while it was
+        queued fails with :class:`ServiceTimeoutError` and never runs.
 
-        The per-document execute lock serialises statements, so each
-        one copies the state its predecessor's delta produced.  Raw
-        deltas submitted concurrently by other clients can still
-        interleave, exactly as for any read-modify-write client.
+        Statements and deltas on one document apply in submission
+        order, each against the state its predecessor left.
         """
         deadline = _deadline(timeout)
         host = self.host(doc)
@@ -605,30 +659,9 @@ class UpdateService:
                 f"{doc!r} is store-hosted; submit relational operations instead "
                 "of update statements"
             )
-        lock = self._execute_lock(doc)
-        remaining = _remaining(deadline)
-        if not lock.acquire(timeout=-1 if remaining is None else remaining):
-            raise ServiceTimeoutError(f"timed out waiting to execute on {doc!r}")
-        try:
-            with self._locks.read(doc, _remaining(deadline)):
-                working = host.document.copy()
-            delta: list[DeltaOp] = []
-            XQueryEngine({doc: working}, policy=host.policy).execute(
-                parsed, recorder=delta
-            )
-            seq = self.submit_wait(
-                DeltaUpdate(doc, tuple(delta)), timeout=_remaining(deadline)
-            )
-        finally:
-            lock.release()
-        return {"seq": seq, "delta_ops": len(delta)}
-
-    def _execute_lock(self, doc: str) -> threading.Lock:
-        with self._execute_mutex:
-            lock = self._execute_locks.get(doc)
-            if lock is None:
-                lock = self._execute_locks[doc] = threading.Lock()
-            return lock
+        op = StatementOp(doc, parsed, deadline)
+        seq = self.submit_wait(op, timeout=_remaining(deadline))
+        return {"seq": seq, "delta_ops": len(op.recorded)}
 
     def flush(self, timeout: Optional[float] = None) -> None:
         """Barrier: everything submitted before this call is durable."""
@@ -885,10 +918,10 @@ class UpdateService:
     # Batch application (runs on the group-commit thread)
     # ------------------------------------------------------------------
     def _apply_batch(
-        self, ops: Sequence[ServiceOp], seqs: Sequence[Optional[int]]
+        self, ops: Sequence[ServiceOp], log: LogRecord
     ) -> list[Optional[Exception]]:
         errors: list[Optional[Exception]] = [None] * len(ops)
-        by_doc: dict[str, list[tuple[int, ServiceOp]]] = {}
+        by_doc: dict[str, Entries] = {}
         for index, op in enumerate(ops):
             by_doc.setdefault(op.doc, []).append((index, op))
         with self._locks.write_many(by_doc.keys()):
@@ -899,55 +932,22 @@ class UpdateService:
                     for index, _ in entries:
                         errors[index] = missing
                     continue
-                if host.transactional:
-                    self._apply_transactional(host, entries, errors)
-                else:
-                    self._apply_independent(host, entries, errors)
-                # Advance the document's covered position under its
-                # write lock.  Failed entries advance too: their seqs
-                # never reach a commit marker, so recovery skips them
-                # regardless of any covered threshold — while a fuzzy
-                # capture that trusted a stale position would needlessly
-                # re-snapshot.
-                last = max(
-                    (seqs[index] for index, _ in entries if seqs[index] is not None),
-                    default=None,
-                )
-                if last is not None:
-                    self._applied_seq[doc] = last
+
+                def log_applied(index: int, record: ServiceOp) -> int:
+                    # Advance the document's covered position with each
+                    # record, under its write lock.  A record of a group
+                    # that then rolls back advances it too: it never
+                    # reaches a commit marker, so recovery skips it
+                    # regardless, while a fuzzy capture that trusted a
+                    # stale position would needlessly re-snapshot.
+                    seq = self._applied_seq[doc] = log(index, record)
+                    return seq
+
+                host.apply_group(entries, log_applied, errors)
         return errors
 
-    def _apply_transactional(
-        self,
-        host: Host,
-        entries: list[tuple[int, ServiceOp]],
-        errors: list[Optional[Exception]],
-    ) -> None:
-        """All-or-nothing per document: coalesce, apply, commit once."""
-        try:
-            for group in _coalesce(entries):
-                host.apply(group)
-            host.commit()
-        except Exception as error:
-            host.rollback()
-            for index, _ in entries:
-                errors[index] = error
 
-    def _apply_independent(
-        self,
-        host: Host,
-        entries: list[tuple[int, ServiceOp]],
-        errors: list[Optional[Exception]],
-    ) -> None:
-        """Per-operation outcomes for hosts that cannot roll back."""
-        for index, op in entries:
-            try:
-                host.apply(op)
-            except Exception as error:
-                errors[index] = error
-
-
-def _coalesce(entries: list[tuple[int, ServiceOp]]) -> list[ServiceOp]:
+def _coalesce(entries: Entries) -> list[ServiceOp]:
     """Merge *adjacent* compatible relational operations.
 
     Only adjacent runs merge, so per-document submission order is

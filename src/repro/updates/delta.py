@@ -8,7 +8,8 @@ that concrete:
 * :func:`diff` computes a delta — a list of primitive, serialisable
   operations — that transforms one document into another;
 * :func:`apply_delta` replays a delta on a document (the mirror /
-  replica side);
+  replica side), optionally onto an :class:`~repro.xmlmodel.model.UndoLog`
+  that can take it back;
 * :func:`to_json` / :func:`from_json` give deltas a wire format.
 
 Addressing: each operation names its target by a *child-index path*
@@ -35,7 +36,7 @@ from difflib import SequenceMatcher
 from typing import Union
 
 from repro.errors import UnreadableContentError, UpdateError
-from repro.xmlmodel.model import Document, Element, Text
+from repro.xmlmodel.model import NO_UNDO, Document, Element, Text, UndoLog
 from repro.xmlmodel.parser import XmlParser, is_xml_chars, is_xml_name
 from repro.xmlmodel.policy import RefPolicy
 from repro.xmlmodel.serializer import serialize
@@ -261,12 +262,19 @@ def _diff_children(old: Element, new: Element, path: Path, ops: list[DeltaOp]) -
 # ----------------------------------------------------------------------
 # Apply
 # ----------------------------------------------------------------------
-def apply_delta(document: Document, ops: list[DeltaOp], policy: RefPolicy | None = None) -> None:
-    """Replay a delta in place."""
+def apply_delta(
+    document: Document,
+    ops: list[DeltaOp],
+    policy: RefPolicy | None = None,
+    undo: UndoLog = NO_UNDO,
+) -> None:
+    """Replay a delta in place, pushing each op's inverse onto ``undo``.
+
+    A delta that fails part-way leaves its earlier ops applied; the
+    caller takes them back with ``undo.rollback(mark)``."""
     policy = policy or RefPolicy.default()
     for op in ops:
-        _apply_op(document, op, policy)
-    document.reindex()
+        _apply_op(document, op, policy, undo)
 
 
 def _resolve(document: Document, path: Path):
@@ -278,13 +286,13 @@ def _resolve(document: Document, path: Path):
     return node
 
 
-def _apply_op(document: Document, op: DeltaOp, policy: RefPolicy) -> None:
+def _apply_op(document: Document, op: DeltaOp, policy: RefPolicy, undo: UndoLog) -> None:
     if isinstance(op, DeleteNode):
         target = _resolve(document, op.path)
         parent = target.parent
         if not isinstance(parent, Element):
             raise UpdateError("cannot delete the document root")
-        parent.remove_child(target)
+        undo.removed(parent, parent.remove_child(target), target)
     elif isinstance(op, InsertNode):
         parent = _resolve(document, op.path)
         if op.xml:
@@ -296,23 +304,30 @@ def _apply_op(document: Document, op: DeltaOp, policy: RefPolicy) -> None:
             parent.append_child(content)
         else:
             parent.insert_child_relative(parent.children[op.index], content, before=True)
+        undo.inserted(content)
     elif isinstance(op, SetText):
         target = _resolve(document, op.path)
         if not isinstance(target, Text):
             raise UpdateError(f"delta path {op.path} is not a text node")
+        undo.text(target, target.value)
         target.value = op.text
     elif isinstance(op, RenameNode):
         target = _resolve(document, op.path)
+        undo.renamed(target, target.name)
         target.name = op.name
     elif isinstance(op, SetAttribute):
-        _resolve(document, op.path).set_attribute(op.name, op.value)
+        element = _resolve(document, op.path)
+        undo.attributes(element)
+        element.set_attribute(op.name, op.value)
     elif isinstance(op, DeleteAttribute):
         element = _resolve(document, op.path)
         attribute = element.attributes.get(op.name)
         if attribute is not None:
+            undo.attributes(element)
             element.remove_attribute(attribute)
     elif isinstance(op, SetReferences):
         element = _resolve(document, op.path)
+        undo.references(element)
         existing = element.references.get(op.name)
         if existing is not None:
             element.remove_reference(existing)
@@ -322,6 +337,7 @@ def _apply_op(document: Document, op: DeltaOp, policy: RefPolicy) -> None:
         element = _resolve(document, op.path)
         existing = element.references.get(op.name)
         if existing is not None:
+            undo.references(element)
             element.remove_reference(existing)
     else:
         raise UpdateError(f"unknown delta operation {op!r}")

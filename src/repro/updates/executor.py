@@ -36,6 +36,10 @@ insert / before / after         ``InsertNode`` at the child's final index
 insert attribute                ``SetAttribute``
 replace element / PCDATA        ``DeleteNode`` + ``InsertNode``, one index
 ==============================  ========================================
+
+With an ``undo`` log, each primitive also pushes its inverse onto it
+(:class:`~repro.xmlmodel.model.UndoLog`), so a caller can run a
+statement on a live tree and take it back if it fails part-way.
 """
 
 from __future__ import annotations
@@ -72,7 +76,16 @@ from repro.updates.operations import (
     UpdateOp,
     VarOperand,
 )
-from repro.xmlmodel.model import Attribute, Element, Node, RefEntry, Reference, Text
+from repro.xmlmodel.model import (
+    NO_UNDO,
+    Attribute,
+    Element,
+    Node,
+    RefEntry,
+    Reference,
+    Text,
+    UndoLog,
+)
 from repro.xpath.ast import Path
 from repro.xpath.evaluator import Binding, XPathContext
 
@@ -121,10 +134,12 @@ class UpdateExecutor:
         context: XPathContext,
         ordered: bool = True,
         recorder: Optional[list[DeltaOp]] = None,
+        undo: UndoLog = NO_UNDO,
     ) -> None:
         self.context = context
         self.ordered = ordered
         self.recorder = recorder
+        self.undo = undo
 
     # ------------------------------------------------------------------
     # Public API
@@ -328,6 +343,7 @@ class UpdateExecutor:
         self._check_live(child, "delete operand")
         if isinstance(child, Attribute):
             self._require_member(child.parent is target, child, target)
+            self.undo.attributes(target)
             target.remove_attribute(child)
             self._record(target, lambda path: [DeleteAttribute(path, child.name)])
         elif isinstance(child, RefEntry):
@@ -337,16 +353,18 @@ class UpdateExecutor:
                 child,
                 target,
             )
+            self.undo.references(target)
             target.remove_ref_entry(child)
             self._record_references(target, reference.name)
         elif isinstance(child, Reference):
             self._require_member(child.parent is target, child, target)
+            self.undo.references(target)
             target.remove_reference(child)
             self._record(target, lambda path: [DeleteReferences(path, child.name)])
         elif isinstance(child, (Element, Text)):
             self._require_member(child.parent is target, child, target)
             self._record(child, lambda path: [DeleteNode(path)])
-            target.remove_child(child)
+            self.undo.removed(target, target.remove_child(child), child)
         else:
             raise UpdateError(f"cannot delete {child!r}")
 
@@ -357,6 +375,7 @@ class UpdateExecutor:
         if isinstance(child, Attribute):
             self._require_member(child.parent is target, child, target)
             old_name = child.name
+            self.undo.attributes(target)
             target.rename_attribute(child, new_name)
             self._record(
                 target,
@@ -375,11 +394,13 @@ class UpdateExecutor:
                 target,
             )
             old_name = reference.name
+            self.undo.references(target)
             target.rename_reference(reference, new_name)
             self._record(target, lambda path: [DeleteReferences(path, old_name)])
             self._record_references(target, new_name)
         elif isinstance(child, Element):
             self._require_member(child.parent is target, child, target)
+            self.undo.renamed(child, child.name)
             child.name = new_name
             self._record(child, lambda path: [RenameNode(path, new_name)])
         else:
@@ -388,11 +409,15 @@ class UpdateExecutor:
     def _execute_insert(self, target: Element, content: _BoundContent) -> None:
         value = content.value
         if isinstance(value, (str, Element, Text)):
-            self._record_child(target.append_child(self._materialize_child(value, content)))
+            child = target.append_child(self._materialize_child(value, content))
+            self.undo.inserted(child)
+            self._record_child(child)
         elif isinstance(value, RefContent):
+            self.undo.references(target)
             target.add_reference(value.label, value.target)
             self._record_references(target, value.label)
         elif isinstance(value, Attribute):
+            self.undo.attributes(target)
             attribute = target.add_attribute(value.copy())
             self._record(
                 target, lambda path: [SetAttribute(path, attribute.name, attribute.value)]
@@ -401,9 +426,11 @@ class UpdateExecutor:
             label = content.ref_label or value.label
             if not label:
                 raise UpdateError("cannot insert a detached reference entry without a label")
+            self.undo.references(target)
             target.add_reference(label, value.target)
             self._record_references(target, label)
         elif isinstance(value, Reference):
+            self.undo.references(target)
             for target_id in value.targets:
                 target.add_reference(value.name, target_id)
             self._record_references(target, value.name)
@@ -423,6 +450,7 @@ class UpdateExecutor:
             self._require_member(anchor.parent is target, anchor, target)
             new_child = self._materialize_child(value, step.content)
             target.insert_child_relative(anchor, new_child, before=before)
+            self.undo.inserted(new_child)
             self._record_child(new_child)
             return
         if isinstance(anchor, RefEntry):
@@ -433,6 +461,7 @@ class UpdateExecutor:
                 target,
             )
             target_id = self._materialize_ref_target(value, reference.name)
+            self.undo.references(target)
             reference.insert_relative(anchor, target_id, before=before)
             self._record_references(target, reference.name)
             return
@@ -448,11 +477,13 @@ class UpdateExecutor:
             self._require_member(child.parent is target, child, target)
             new_child = self._materialize_child(value, content)
             target.replace_child(child, new_child)
+            self.undo.replaced(child, new_child)
             self._record_child(new_child, replaced=True)
             return
         if isinstance(child, Attribute):
             self._require_member(child.parent is target, child, target)
             new_attribute = self._materialize_attribute(value)
+            self.undo.attributes(target)
             target.remove_attribute(child)
             target.add_attribute(new_attribute)
             self._record(
@@ -476,6 +507,7 @@ class UpdateExecutor:
                     f"a reference binding can only be replaced by a reference with "
                     f"the same label ({reference.name!r}), got {label!r}"
                 )
+            self.undo.references(target)
             reference.insert_relative(child, target_id, before=True)
             target.remove_ref_entry(child)
             self._record_references(target, reference.name)
@@ -489,6 +521,7 @@ class UpdateExecutor:
                     f"same label ({child.name!r}), got {label!r}"
                 )
             name = child.name
+            self.undo.references(target)
             target.remove_reference(child)
             for target_id in target_ids:
                 target.add_reference(name, target_id)

@@ -9,7 +9,14 @@ edits around it (e.g. an :class:`RefEntry` binding remains valid when a
 sibling entry is inserted before it).  Deleted nodes are marked with a
 tombstone (``is_deleted``) which the update executor consults to enforce
 the paper's rule that a deleted binding cannot be reused later in an
-update sequence.
+update sequence; :meth:`Node.revive` clears them again when a delete is
+undone.
+
+An :class:`UndoLog` lets a caller take back a run of mutations: the §3
+executor and :func:`~repro.updates.delta.apply_delta` push the inverse
+of each mutation they make (the detached node itself, the old value or
+name), and :meth:`UndoLog.rollback` replays them newest first, so an
+undo costs O(change), never O(document).
 
 Attributes and reference lists are kept in *separate* maps on an
 element, mirroring Section 3.1's distinction between data-valued
@@ -24,12 +31,24 @@ import itertools
 from typing import Iterable, Iterator, Optional, Union
 
 from repro.errors import ModelError
+from repro.obs import get_registry
 
 _node_counter = itertools.count(1)
+
+#: Bumped by every attribute or child edit of any element (made or
+#: undone), the edits that can move an ID: a :class:`Document` whose
+#: index was built at the current version has nothing to gain from a
+#: rebuild on a miss.
+_tree_version = 0
 
 
 def _next_node_id() -> int:
     return next(_node_counter)
+
+
+def _touch() -> None:
+    global _tree_version
+    _tree_version += 1
 
 
 class Node:
@@ -49,6 +68,10 @@ class Node:
     def mark_deleted(self) -> None:
         """Tombstone this node and everything reachable below it."""
         self.is_deleted = True
+
+    def revive(self) -> None:
+        """Clear the tombstones :meth:`mark_deleted` set (an undone delete)."""
+        self.is_deleted = False
 
     @property
     def kind(self) -> str:
@@ -193,6 +216,11 @@ class Reference(Node):
         for entry in self.entries:
             entry.is_deleted = True
 
+    def revive(self) -> None:
+        super().revive()
+        for entry in self.entries:
+            entry.is_deleted = False
+
     def __len__(self) -> int:
         return len(self.entries)
 
@@ -245,6 +273,7 @@ class Element(Node):
         attribute = Attribute(name, value)
         attribute.parent = self
         self.attributes[name] = attribute
+        _touch()
         return attribute
 
     def add_attribute(self, attribute: Attribute) -> Attribute:
@@ -259,6 +288,7 @@ class Element(Node):
             )
         attribute.parent = self
         self.attributes[attribute.name] = attribute
+        _touch()
         return attribute
 
     def remove_attribute(self, attribute: Attribute) -> None:
@@ -270,6 +300,7 @@ class Element(Node):
         del self.attributes[attribute.name]
         attribute.parent = None
         attribute.mark_deleted()
+        _touch()
 
     def rename_attribute(self, attribute: Attribute, new_name: str) -> None:
         owned = self.attributes.get(attribute.name)
@@ -284,6 +315,7 @@ class Element(Node):
         del self.attributes[attribute.name]
         attribute.name = new_name
         self.attributes[new_name] = attribute
+        _touch()
 
     # ------------------------------------------------------------------
     # Reference lists (IDREF / IDREFS)
@@ -357,6 +389,7 @@ class Element(Node):
         self._check_attachable(child)
         child.parent = self
         self.children.append(child)
+        _touch()
         return child
 
     def insert_child_relative(self, anchor: Child, child: Child, before: bool) -> Child:
@@ -367,13 +400,17 @@ class Element(Node):
             position += 1
         child.parent = self
         self.children.insert(position, child)
+        _touch()
         return child
 
-    def remove_child(self, child: Child) -> None:
+    def remove_child(self, child: Child) -> int:
+        """Detach and tombstone ``child``; returns the index it had."""
         position = self._child_index(child)
         del self.children[position]
         child.parent = None
         child.mark_deleted()
+        _touch()
+        return position
 
     def replace_child(self, old: Child, new: Child) -> Child:
         """Atomic in-place replacement preserving document position."""
@@ -383,6 +420,7 @@ class Element(Node):
         old.mark_deleted()
         new.parent = self
         self.children[position] = new
+        _touch()
         return new
 
     def child_index(self, child: Child) -> int:
@@ -444,6 +482,15 @@ class Element(Node):
         for child in self.children:
             child.mark_deleted()
 
+    def revive(self) -> None:
+        super().revive()
+        for attribute in self.attributes.values():
+            attribute.is_deleted = False
+        for reference in self.references.values():
+            reference.revive()
+        for child in self.children:
+            child.revive()
+
     def copy(self) -> "Element":
         """Deep copy with fresh identity throughout (copy semantics of Insert)."""
         clone = Element(self.name)
@@ -464,7 +511,9 @@ class Document:
 
     ``id_attribute`` names the attribute that carries element IDs (the
     sample document and DTDs in the paper use ``ID``); the index maps ID
-    values to elements and is maintained lazily via :meth:`reindex`.
+    values to elements.  It is built on the first lookup and rebuilt
+    only when a lookup misses after the tree changed, so parsing, a
+    copy or a write never pays for it.
     """
 
     def __init__(self, root: Element, id_attribute: str = "ID") -> None:
@@ -473,24 +522,36 @@ class Document:
         self.root = root
         self.id_attribute = id_attribute
         self._id_index: dict[str, Element] = {}
-        self.reindex()
+        #: The tree version the index was built at (None: never built).
+        self._indexed_at: Optional[int] = None
 
     def reindex(self) -> None:
         """Rebuild the ID-to-element index from the current tree."""
-        self._id_index = {}
+        get_registry().counter("xmlmodel.document.reindexes").inc()
+        version = _tree_version
+        index: dict[str, Element] = {}
         for element in self.root.iter_descendants(include_self=True):
             attribute = element.attributes.get(self.id_attribute)
             if attribute is not None:
-                self._id_index[attribute.value] = element
+                index[attribute.value] = element
+        # Index before version: a reader that sees the new version then
+        # reads the index it belongs to.
+        self._id_index = index
+        self._indexed_at = version
 
     def element_by_id(self, id_value: str) -> Optional[Element]:
         """Look up an element by ID, tolerating stale index entries: a hit
-        counts only while the element is live and still carries that ID."""
+        counts only while the element is live and still carries that ID.
+        A miss rebuilds the index at most once per tree version, so a
+        dangling IDREF costs a dictionary probe, not a tree walk."""
+        indexed_at = self._indexed_at
         element = self._id_index.get(id_value)
         if element is not None and not element.is_deleted:
             attribute = element.attributes.get(self.id_attribute)
             if attribute is not None and attribute.value == id_value:
                 return element
+        if indexed_at == _tree_version:
+            return None
         self.reindex()
         return self._id_index.get(id_value)
 
@@ -502,7 +563,134 @@ class Document:
         return sum(1 for _ in self.iter_elements())
 
     def copy(self) -> "Document":
+        get_registry().counter("xmlmodel.document.copies").inc()
         return Document(self.root.copy(), id_attribute=self.id_attribute)
 
     def __repr__(self) -> str:
         return f"Document(root=<{self.root.name}>, elements={self.count_elements()})"
+
+
+class UndoLog:
+    """The inverses of a run of tree mutations, undone newest first.
+
+    A writer pushes one entry per mutation, holding node objects rather
+    than text: the node it detached and the index it had, the node it
+    attached, the old text or name, or the old attribute and reference
+    maps of one element.  :meth:`mark` and ``rollback(mark)`` take back
+    everything since a point; :meth:`clear` forgets it all once the
+    mutations are committed, so the log holds one batch at most.
+    """
+
+    __slots__ = ("_entries",)
+
+    def __init__(self) -> None:
+        self._entries: list[tuple] = []
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def mark(self) -> int:
+        return len(self._entries)
+
+    def rollback(self, mark: int = 0) -> None:
+        """Undo every mutation pushed since ``mark``, newest first."""
+        entries = self._entries
+        while len(entries) > mark:
+            undo, *args = entries.pop()
+            undo(*args)
+
+    def clear(self) -> None:
+        self._entries.clear()
+
+    # Each push below follows the mutation it inverts, except the map
+    # snapshots, which must see the old state and so come first.
+    def removed(self, parent: Element, index: int, child: Child) -> None:
+        self._entries.append((_reattach, parent, index, child))
+
+    def inserted(self, child: Child) -> None:
+        self._entries.append((_detach, child))
+
+    def replaced(self, old: Child, new: Child) -> None:
+        self._entries.append((_unreplace, old, new))
+
+    def text(self, node: Text, old_value: str) -> None:
+        self._entries.append((_set_value, node, old_value))
+
+    def renamed(self, element: Element, old_name: str) -> None:
+        self._entries.append((_set_name, element, old_name))
+
+    def attributes(self, element: Element) -> None:
+        self._entries.append((_restore_attributes, element, dict(element.attributes)))
+
+    def references(self, element: Element) -> None:
+        saved = [(name, ref, list(ref.entries)) for name, ref in element.references.items()]
+        self._entries.append((_restore_references, element, saved))
+
+
+class _NoUndo(UndoLog):
+    """An undo log that keeps nothing, for writers that never roll back."""
+
+    __slots__ = ()
+
+    def _skip(self, *args) -> None:
+        pass
+
+    removed = inserted = replaced = text = renamed = attributes = references = _skip
+
+
+#: Shared by every writer given no undo log.
+NO_UNDO: UndoLog = _NoUndo()
+
+
+def _reattach(parent: Element, index: int, child: Child) -> None:
+    child.revive()
+    child.parent = parent
+    parent.children.insert(index, child)
+    _touch()
+
+
+def _detach(child: Child) -> None:
+    parent = child.parent
+    del parent.children[parent.child_index(child)]
+    child.parent = None
+    _touch()
+
+
+def _unreplace(old: Child, new: Child) -> None:
+    parent = new.parent
+    parent.children[parent.child_index(new)] = old
+    new.parent = None
+    old.parent = parent
+    old.revive()
+    _touch()
+
+
+def _set_value(node: Text, value: str) -> None:
+    node.value = value
+
+
+def _set_name(element: Element, name: str) -> None:
+    element.name = name
+
+
+def _restore_attributes(element: Element, saved: dict[str, Attribute]) -> None:
+    element.attributes = saved
+    for name, attribute in saved.items():
+        attribute.name = name
+        attribute.parent = element
+        attribute.is_deleted = False
+    _touch()
+
+
+def _restore_references(
+    element: Element, saved: list[tuple[str, Reference, list[RefEntry]]]
+) -> None:
+    element.references = {}
+    for name, reference, entries in saved:
+        reference.name = name
+        reference.entries = entries
+        reference.parent = element
+        reference.revive()
+        for entry in entries:
+            entry.parent = reference
+        element.references[name] = reference

@@ -17,7 +17,7 @@ from repro.obs import get_registry, span
 from repro.updates.binding import enumerate_bindings
 from repro.updates.delta import DeltaOp
 from repro.updates.executor import BoundUpdate, UpdateExecutor
-from repro.xmlmodel.model import Document, Element
+from repro.xmlmodel.model import NO_UNDO, Document, Element, UndoLog
 from repro.xmlmodel.policy import RefPolicy
 from repro.xpath.evaluator import Binding, XPathContext
 from repro.xquery.ast import Query
@@ -76,11 +76,13 @@ class XQueryEngine:
         statement: Union[str, Query],
         *,
         recorder: Optional[list[DeltaOp]] = None,
+        undo: UndoLog = NO_UNDO,
     ) -> Union[UpdateResult, QueryResult]:
         """Run a statement; returns an UpdateResult or a QueryResult.
 
         An update appends its effect to ``recorder``, when given, as
-        delta operations (see :class:`UpdateExecutor`)."""
+        delta operations, and the inverse of each primitive to ``undo``
+        (see :class:`UpdateExecutor`)."""
         query = self.parse(statement) if isinstance(statement, str) else statement
         registry = get_registry()
         registry.counter("xquery.statements").inc()
@@ -91,7 +93,9 @@ class XQueryEngine:
         if not query.is_update:
             with span("xquery.return"):
                 return self._execute_return(query, combos, context)
-        executor = UpdateExecutor(context, ordered=self.ordered, recorder=recorder)
+        executor = UpdateExecutor(
+            context, ordered=self.ordered, recorder=recorder, undo=undo
+        )
         # Phase 1: bind every iteration of every UPDATE clause over the
         # pre-update documents.
         bound: list[BoundUpdate] = []

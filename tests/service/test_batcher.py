@@ -393,9 +393,11 @@ class TestQueueDiscipline:
         started = threading.Event()
         release = threading.Event()
 
-        def gated_apply(ops, seqs):
+        def gated_apply(ops, log):
             started.set()
             release.wait(10)
+            for index, op in enumerate(ops):
+                log(index, op)  # an applied op logs its record: its ticket gets a seq
             return [None] * len(ops)
 
         batcher = GroupCommitBatcher(gated_apply, max_batch=1)

@@ -1,8 +1,8 @@
 """Server-side ``execute`` of update statements through a real server.
 
-``UpdateService.execute`` runs a statement on a copy of the live
-document and submits the effect the executor recorded.  These tests
-pin what that buys: paths that count every live node (adjacent PCDATA
+``UpdateService.execute`` runs a statement on the committer, in place
+on the live document, and logs the effect the executor recorded.  These
+tests pin what that buys: paths that count every live node (adjacent PCDATA
 included), a recovered document byte-identical to the live one with or
 without a checkpoint between statements, and nothing submitted by a
 statement that fails part-way.
@@ -142,11 +142,13 @@ class TestRecordedDeltasAreDurable:
 
 class TestFailedStatement:
     def test_statement_failing_part_way_submits_nothing(self, tmp_path):
-        """The delete runs on the copy, then the duplicate attribute
-        insert fails: no delta reaches the WAL or the live document."""
+        """The delete runs on the live tree, then the duplicate attribute
+        insert fails: the delete is undone and nothing reaches the WAL."""
         service = make_service(wal_path=str(tmp_path / "bio.wal")).start()
+        host = service.host(DOC)
         try:
             before = service.query(DOC)
+            lastname = host.document.element_by_id("jones1").first_child_element("lastname")
             next_seq = service.wal.next_seq
             with pytest.raises(ModelError):
                 service.execute(
@@ -159,6 +161,9 @@ class TestFailedStatement:
             service.flush(TIMEOUT)
             assert service.wal.next_seq == next_seq
             assert service.query(DOC) == before
+            # Undone in place: the very node deleted is back, live.
+            assert lastname.parent is not None and not lastname.is_deleted
+            assert len(host.undo) == 0
         finally:
             service.close()
 
@@ -185,8 +190,9 @@ class TestFailedStatement:
 
 class TestDereferenceAfterIdChange:
     def test_arrow_does_not_follow_an_id_the_live_element_no_longer_has(self):
-        """The statement runs on a copy; the live document gets only the
-        delta, so its ID index still maps the old ID to the element."""
+        """The statement replaces the ID in place on the live tree, whose
+        ID index still maps the old ID to the element: the arrow must
+        check the hit, not trust the stale entry."""
         service = UpdateService(ServiceConfig())
         service.host_document("x.xml", parse(REFERRING))
         service.start()
