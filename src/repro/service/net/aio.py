@@ -18,11 +18,12 @@ writes responses.  Nothing on the loop blocks: a request makes at most
 one round trip between the loop and the thread that does its work.
 Counted as thread handoffs: ``ping``, ``stats`` and ``submit`` are
 answered on the loop (2 → 0); ``submit_wait`` is admitted on the loop
-and awaits the ticket the group-commit thread resolves, and ``query``
-awaits the service's query-pool future (4 → 2 each: loop → that thread
-→ loop, with no dispatch thread parked in between); ``execute``,
-``flush`` and ``checkpoint``, which block a thread by nature, run on
-the loop's default executor.  An idle connection
+and awaits the ticket the group-commit thread resolves, ``query``
+awaits the service's query-pool future, and ``execute`` does one or the
+other after parsing its statement on the loop (4 → 2 each: loop → that
+thread → loop, with no dispatch thread parked in between); ``flush``
+and ``checkpoint``, which block a thread by nature, run on the loop's
+default executor.  An idle connection
 therefore costs one task and a few KiB, which is what lets one process
 hold 10k+ connections.
 

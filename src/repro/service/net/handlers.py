@@ -6,9 +6,10 @@ per-request monotonic deadline (clamped to the server's ceiling), the
 per-connection in-flight admission bound, payload decoding through the
 WAL codec, and the handler for each request kind.  What a request
 *does* belongs to the service: ``query`` runs
-:func:`~repro.service.server.run_statement_query` and ``execute`` is
-:meth:`UpdateService.execute <repro.service.server.UpdateService.execute>`,
-the one statement read-modify-write the ``serve`` console shares.
+:func:`~repro.service.server.run_statement_query` and ``execute`` starts
+the statement work that :meth:`UpdateService.execute
+<repro.service.server.UpdateService.execute>`, the ``serve`` console's
+call, waits for.
 
 ``dispatch(session, request)`` runs on the server's event loop and
 never blocks it.  It returns the complete response frame when the
@@ -22,13 +23,17 @@ Per kind, counted as handoffs between the loop and another thread:
 * ``submit_wait`` is admitted on the loop (``submit(op, timeout=0)``:
   a full queue answers retryable ``BUSY``) and the loop awaits the
   ticket the committer resolves; ``query`` hands its work to the
-  service's query pool and awaits that future: **2** each (loop → the
-  working thread → loop).
-* ``execute``, ``flush`` and ``checkpoint`` block a thread by nature
-  (execute's wait on the committer running its statement, the batcher
-  barrier, the checkpoint capture), so their handlers run unchanged on the loop's default
-  executor — a different pool from the query pool, so a read
-  ``execute``'s nested query cannot starve it.
+  service's query pool and awaits that future; ``execute`` parses its
+  statement on the loop (as ``submit`` decodes its payload there) and
+  then does one or the other through
+  :meth:`UpdateService.execute_future
+  <repro.service.server.UpdateService.execute_future>` — an update is
+  admitted like ``submit_wait``, so a full queue answers ``BUSY`` at
+  once, and a read goes to the query pool with the parsed statement:
+  **2** each (loop → the working thread → loop).
+* ``flush`` and ``checkpoint`` block a thread by nature (the batcher
+  barrier, the checkpoint capture), so their handlers run unchanged on
+  the loop's default executor.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ from __future__ import annotations
 import asyncio
 import time
 from concurrent.futures import Future
-from typing import Awaitable, Callable, NamedTuple, Optional, Union
+from typing import Awaitable, Callable, NamedTuple, Optional, TypeVar, Union
 
 from repro.errors import (
     ProtocolError,
@@ -52,7 +57,6 @@ from repro.service.net.core import (
     error_frame,
     reply_id,
 )
-from repro.service.batcher import Ticket
 from repro.service.ops import (
     DeltaUpdate,
     ServiceOp,
@@ -62,6 +66,8 @@ from repro.service.ops import (
 )
 from repro.service.server import UpdateService, run_statement_query
 from repro.service.session import Session
+
+T = TypeVar("T")
 
 
 class Deferred(NamedTuple):
@@ -192,7 +198,7 @@ class Dispatcher:
         return {"pong": True, "documents": self.service.documents}
 
     @staticmethod
-    def _enqueue(submit: Callable[[], Ticket]) -> Ticket:
+    def _enqueue(submit: Callable[[], T]) -> T:
         """Queue without waiting (the caller passes ``timeout=0``): a
         full batcher queue rejects now with retryable BUSY instead of
         blocking the event loop on it."""
@@ -231,12 +237,17 @@ class Dispatcher:
         future = self.service.query_future(doc, work, timeout=self._remaining(deadline))
         return Deferred(future, key)
 
-    def _op_execute(self, session: Session, request: dict, deadline: float) -> dict:
+    def _op_execute(self, session: Session, request: dict, deadline: float) -> Deferred:
         doc = request.get("doc")
         statement = request.get("statement")
         if not isinstance(doc, str) or not isinstance(statement, str):
             raise ProtocolError("execute needs 'doc' and 'statement' strings")
-        return self.service.execute(doc, statement, timeout=self._remaining(deadline))
+        future = self._enqueue(
+            lambda: self.service.execute_future(
+                doc, statement, self._remaining(deadline), admit_timeout=0.0
+            )
+        )
+        return Deferred(future)
 
     def _op_flush(self, session: Session, request: dict, deadline: float) -> dict:
         self.service.flush(timeout=self._remaining(deadline))
@@ -267,7 +278,7 @@ class Dispatcher:
         "submit": _op_submit,
         "submit_wait": _op_submit_wait,
         "query": _op_query,
-        "execute": _on_executor(_op_execute),
+        "execute": _op_execute,
         "flush": _on_executor(_op_flush),
         "checkpoint": _on_executor(_op_checkpoint),
         "stats": _op_stats,

@@ -207,9 +207,11 @@ class StoreHost:
 Host = Union[DocumentHost, StoreHost]
 
 
-def run_statement_query(host: Host, statement: str) -> list[str]:
+def run_statement_query(host: Host, statement: Union[str, Query]) -> list[str]:
     """A read-only XQuery statement against either host kind, rendered
-    to strings (runs under the document's read lock on the query pool)."""
+    to strings (runs under the document's read lock on the query pool).
+    A document host also takes the statement already parsed; a store
+    host takes its text."""
     if isinstance(host, StoreHost):
         nodes = host.store.query(statement)
     else:
@@ -642,26 +644,69 @@ class UpdateService:
         queued fails with :class:`ServiceTimeoutError` and never runs.
 
         Statements and deltas on one document apply in submission
-        order, each against the state its predecessor left.
+        order, each against the state its predecessor left.  This call
+        waits for queue admission; the network handler starts the same
+        work through :meth:`execute_future` with ``admit_timeout=0``,
+        so a full queue answers retryable ``BUSY`` at once and the
+        request makes two thread hand-offs (loop → committer or query
+        pool → loop), like ``submit_wait`` and ``query``.
         """
+        deadline = _deadline(timeout)
+        future = self.execute_future(doc, statement, timeout, admit_timeout=timeout)
+        try:
+            return future.result(timeout=_remaining(deadline))
+        except FutureTimeoutError:
+            # A read still queued behind a saturated pool never runs; a
+            # queued statement cannot be cancelled (its future is marked
+            # running) and expires on its own deadline instead.
+            future.cancel()
+            raise ServiceTimeoutError(f"execute on {doc!r} timed out") from None
+
+    def execute_future(
+        self,
+        doc: str,
+        statement: str,
+        timeout: Optional[float] = None,
+        admit_timeout: Optional[float] = None,
+    ) -> Future:
+        """:meth:`execute` without the wait: parse ``statement`` once on
+        the calling thread, start it, and return a future of the reply.
+
+        A read goes to the query pool with the parsed statement, so the
+        pool never parses it again.  An update is submitted with
+        ``admit_timeout`` (see :meth:`submit`) and its reply is built by
+        a done-callback on the ticket's future; that future is marked
+        running, like the ticket's, so a caller that stops waiting
+        cannot cancel it.  ``timeout`` is the statement's deadline: it
+        bounds the read-lock wait, and a statement still queued when it
+        passes never runs."""
         deadline = _deadline(timeout)
         host = self.host(doc)
         parsed = XQueryEngine({}, policy=getattr(host, "policy", None)).parse(statement)
         if not parsed.is_update:
-            results = self.query(
-                doc,
-                lambda h: run_statement_query(h, statement),
-                timeout=_remaining(deadline),
+            text = statement if isinstance(host, StoreHost) else parsed
+            return self.query_future(
+                doc, lambda h: {"results": run_statement_query(h, text)}, timeout
             )
-            return {"results": results}
         if not isinstance(host, DocumentHost):
             raise ServiceError(
                 f"{doc!r} is store-hosted; submit relational operations instead "
                 "of update statements"
             )
         op = StatementOp(doc, parsed, deadline)
-        seq = self.submit_wait(op, timeout=_remaining(deadline))
-        return {"seq": seq, "delta_ops": len(op.recorded)}
+        ticket = self.submit(op, timeout=admit_timeout)
+        reply: Future = Future()
+        reply.set_running_or_notify_cancel()
+
+        def settle(done: Future) -> None:
+            error = done.exception()
+            if error is not None:
+                reply.set_exception(error)
+            else:
+                reply.set_result({"seq": done.result(), "delta_ops": len(op.recorded)})
+
+        ticket.future.add_done_callback(settle)
+        return reply
 
     def flush(self, timeout: Optional[float] = None) -> None:
         """Barrier: everything submitted before this call is durable."""

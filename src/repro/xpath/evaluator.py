@@ -5,7 +5,12 @@ AST node keeps (``Path.compiled``, ``Expr.compiled``, ``Expr.compiled_test``),
 so a statement in the statement cache carries its evaluation plan.  The
 step kind and name test, whether a step can yield duplicates, the
 comparison operator and its numeric-or-string choice, and how to take a
-result's string value are all decided when compiling.
+result's string value are all decided when compiling.  One shape gets a
+kernel of its own, the predicate the paper's statements and the service
+workloads select targets with: ``[@name = "literal"]`` compiles to the
+*attribute-equality kernel* (``_compile_equals_literal``), which reads
+the context element's attribute or reference list directly instead of
+building the ``@name`` node list and its string values.
 
 A compiled path runs as ``run(context_node, context)``: the
 :class:`XPathContext` holds documents and variables, and
@@ -28,6 +33,7 @@ from repro.xpath.ast import (
     BooleanOp,
     ChildStep,
     Comparison,
+    ContextStart,
     DerefStep,
     DocumentStart,
     Exists,
@@ -161,6 +167,9 @@ def _document(name: str, context: XPathContext) -> Document:
     return document
 
 
+_NO_CONTEXT_NODE = "relative path used without a context node"
+
+
 def _compile_start(start) -> PathFn:
     if isinstance(start, DocumentStart):
         return lambda node, context: [_document(start.name, context).root]
@@ -179,7 +188,7 @@ def _compile_start(start) -> PathFn:
 
     def relative(node: Optional[Binding], context: XPathContext) -> list[Binding]:
         if node is None:
-            raise XPathError("relative path used without a context node")
+            raise XPathError(_NO_CONTEXT_NODE)
         return [node]
 
     return relative
@@ -401,12 +410,7 @@ def _compile_comparison(expr: Comparison) -> ExprFn:
 
         return numeric
     if expr.op == "=" and isinstance(expr.left, PathValue) and isinstance(expr.right, Literal):
-        run, string_of = expr.left.path.compiled, _string_of(expr.left.path)
-        literal = expr.right.value
-
-        return lambda node, context: any(
-            string_of(found) == literal for found in run(node, context)
-        )
+        return _compile_equals_literal(expr.left.path, expr.right.value)
 
     def strings(node: Optional[Binding], context: XPathContext) -> bool:
         lefts = [str(atom) for atom in left(node, context)]
@@ -414,3 +418,33 @@ def _compile_comparison(expr: Comparison) -> ExprFn:
         return any(compare(atom, other) for atom in lefts for other in rights)
 
     return strings
+
+
+def _compile_equals_literal(path: Path, literal: str) -> ExprFn:
+    """``path = "literal"``.  On ``@name`` alone, the attribute-equality
+    kernel: the context element's attribute, else its reference list,
+    read straight off the element, with no node list built."""
+    steps = path.steps
+    if not (
+        isinstance(path.start, ContextStart)
+        and len(steps) == 1
+        and isinstance(steps[0], AttributeStep)
+    ):
+        run, string_of = path.compiled, _string_of(path)
+        return lambda node, context: any(
+            string_of(found) == literal for found in run(node, context)
+        )
+    name = steps[0].name
+
+    def attribute_equals(node: Optional[Binding], context: XPathContext) -> bool:
+        if not isinstance(node, Element):
+            if node is None:
+                raise XPathError(_NO_CONTEXT_NODE)
+            return False
+        attribute = node.attributes.get(name)
+        if attribute is not None and attribute.value == literal:
+            return True
+        reference = node.references.get(name)
+        return reference is not None and " ".join(reference.targets) == literal
+
+    return attribute_equals

@@ -11,16 +11,22 @@ each through a real server:
   kills the committer thread;
 * a ticket that resolves after the server's loop is gone raises nothing
   on the committer thread and logs nothing;
-* a full queue answers ``submit_wait`` with retryable ``BUSY`` at once,
-  not after the request's deadline (admission cannot block the loop);
-* no dispatch thread exists, admission runs on the loop thread, and no
-  thread blocks on a ticket or a query result for the server;
-* ``execute``'s nested query runs on the query pool while ``execute``
-  itself runs on a different pool, so more concurrent executes than
-  query workers still complete.
+* a full queue answers ``submit_wait`` and an update ``execute`` with
+  retryable ``BUSY`` at once, not after the request's deadline
+  (admission cannot block the loop);
+* an update ``execute`` whose deadline passes while it is queued fails
+  with ``ServiceTimeoutError`` and never runs;
+* no dispatch thread exists, admission runs on the loop thread, nothing
+  runs on the loop's default executor, and no thread blocks on a
+  ticket or a query result for the server: ``submit_wait``, ``query``
+  and both kinds of ``execute`` make two hand-offs each (loop → the
+  committer or a query-pool thread → loop);
+* ``execute``'s read runs on the query pool without holding any other
+  thread, so more concurrent executes than query workers complete.
 """
 
 import asyncio
+import concurrent.futures
 import gc
 import logging
 import threading
@@ -38,7 +44,9 @@ from repro.service import (
     ServiceConfig,
     UpdateService,
 )
+from repro.service import server as server_module
 from repro.service.batcher import Ticket
+from repro.service.server import DocumentHost
 from repro.updates.delta import DeleteNode, InsertNode
 from repro.xmlmodel.parser import XmlParser
 
@@ -48,6 +56,15 @@ JOIN_TIMEOUT = 30
 
 def entry_op(index):
     return DeltaUpdate(DOC, (InsertNode((), 1 << 30, xml=f'<e i="{index}"/>'),))
+
+
+def insert_statement(index):
+    return (
+        f'FOR $d IN document("{DOC}")/log UPDATE $d {{ INSERT <x n="{index}"/> }}'
+    )
+
+
+READ_STATEMENT = f'FOR $d IN document("{DOC}")/log RETURN $d'
 
 
 def make_service(**overrides):
@@ -246,32 +263,119 @@ class TestLoopAdmission:
             gate.set()
             server.close()
 
+    def test_full_queue_answers_execute_busy_at_once(self):
+        service = make_service(queue_limit=1, batch_size=1, coalesce_wait=0.0)
+        started, gate = gate_apply(service)
+        server = AsyncNetServer(service, own_service=True).start()
+        try:
+            with ServiceClient(*server.address) as client:
+                client.submit(entry_op(0))  # the committer takes it and is held
+                assert started.wait(JOIN_TIMEOUT)
+                client.submit(entry_op(1))  # fills the one-slot queue
+                began = time.monotonic()
+                with pytest.raises(ServiceBusyError) as excinfo:
+                    client.execute(DOC, insert_statement(2), timeout=10.0)
+                assert time.monotonic() - began < 0.5
+                assert excinfo.value.retryable
+                gate.set()
+                client.flush(timeout=JOIN_TIMEOUT)
+                assert 'n="2"' not in client.query(DOC, timeout=JOIN_TIMEOUT)
+        finally:
+            gate.set()
+            server.close()
+
+    def test_statement_expiring_in_the_queue_fails_and_runs_nothing(self):
+        service = make_service()
+        started, gate = gate_apply(service)
+        server = AsyncNetServer(service, own_service=True).start()
+        try:
+            with ServiceClient(*server.address) as client:
+                client.submit(entry_op(0))  # the committer takes it and is held
+                assert started.wait(JOIN_TIMEOUT)
+                with pytest.raises(ServiceTimeoutError):
+                    client.execute(DOC, insert_statement(1), timeout=0.3)
+                gate.set()
+                # The held op is seq 1; the expired statement logged nothing.
+                assert client.submit_wait(entry_op(2), timeout=JOIN_TIMEOUT) == 2
+                text = client.query(DOC, timeout=JOIN_TIMEOUT)
+        finally:
+            gate.set()
+            server.close()
+        assert 'i="0"' in text and 'i="2"' in text
+        assert 'n="1"' not in text
+
     def test_no_thread_parks_for_a_request(self, monkeypatch):
-        """Pipelined writes, reads, pings and stats: no dispatch-executor
-        thread exists, admission runs on the loop thread, and nothing
-        blocks in ``Ticket.wait`` or ``UpdateService.query``."""
+        """Pipelined writes, reads, update and read executes, pings and
+        stats: admission and statement parsing run on the loop thread,
+        nothing runs on the loop's default executor, each statement runs
+        on the committer and each read on a query-pool thread (two
+        hand-offs per request), and no thread blocks in ``Ticket.wait``,
+        ``UpdateService.query`` or ``UpdateService.execute``, or on a
+        future that has not resolved."""
         service = make_service()
         batcher = service._batcher
         original_submit = batcher.submit
-        submit_threads = set()
-        blocked = []
+        threads = {"submit": set(), "execute": set(), "statement": set(), "read": set()}
+        blocked, executor_calls = [], []
 
         def recording_submit(op, timeout=None):
-            submit_threads.add(threading.current_thread().name)
+            threads["submit"].add(threading.current_thread().name)
             return original_submit(op, timeout)
 
+        def recorded(key, original):
+            def wrapper(*args, **kwargs):
+                threads[key].add(threading.current_thread().name)
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        def waiting(name, original):
+            def wrapper(future, *args, **kwargs):
+                if not future.done():
+                    blocked.append(name)
+                return original(future, *args, **kwargs)
+
+            return wrapper
+
+        def recording_run_in_executor(loop, *args):
+            executor_calls.append(threading.current_thread().name)
+            return original_run_in_executor(loop, *args)
+
         batcher.submit = recording_submit
-        monkeypatch.setattr(Ticket, "wait", lambda *a, **k: blocked.append("wait"))
-        monkeypatch.setattr(
-            UpdateService, "query", lambda *a, **k: blocked.append("query")
-        )
         server = AsyncNetServer(service, own_service=True).start()
+        original_run_in_executor = asyncio.BaseEventLoop.run_in_executor
+        monkeypatch.setattr(Ticket, "wait", lambda *a, **k: blocked.append("wait"))
+        for name in ("query", "execute"):
+            monkeypatch.setattr(
+                UpdateService, name, lambda *a, name=name, **k: blocked.append(name)
+            )
+        monkeypatch.setattr(
+            UpdateService, "execute_future",
+            recorded("execute", UpdateService.execute_future),
+        )
+        monkeypatch.setattr(
+            DocumentHost, "apply", recorded("statement", DocumentHost.apply)
+        )
+        monkeypatch.setattr(
+            server_module, "run_statement_query",
+            recorded("read", server_module.run_statement_query),
+        )
+        for name in ("result", "exception"):
+            monkeypatch.setattr(
+                concurrent.futures.Future, name,
+                waiting(name, getattr(concurrent.futures.Future, name)),
+            )
+        monkeypatch.setattr(
+            asyncio.BaseEventLoop, "run_in_executor", recording_run_in_executor
+        )
 
         async def scenario():
             async with await AsyncServiceClient.connect(*server.address) as client:
                 return await asyncio.gather(
                     *(client.submit_wait(entry_op(i)) for i in range(8)),
                     *(client.query(DOC) for _ in range(4)),
+                    *(client.execute(DOC, insert_statement(i)) for i in range(4)),
+                    *(client.execute(DOC, READ_STATEMENT) for _ in range(4)),
                     client.ping(),
                     client.stats(),
                 )
@@ -279,20 +383,32 @@ class TestLoopAdmission:
         try:
             results = asyncio.run(scenario())
             names = [thread.name for thread in threading.enumerate()]
+            blocked_in_scenario = list(blocked)
         finally:
+            monkeypatch.undo()
             server.close()
-        assert sorted(results[:8]) == list(range(1, 9))
+        assert sorted(results[:8] + [r["seq"] for r in results[12:16]]) == list(
+            range(1, 13)
+        )
         assert all(text.startswith("<log") for text in results[8:12])
+        assert all(len(r["results"]) == 1 for r in results[16:20])
         assert not [name for name in names if name.startswith("net-aio-exec")]
-        assert submit_threads == {"net-aio"}
-        assert blocked == []
+        assert "net-aio" not in executor_calls
+        assert threads["submit"] == {"net-aio"}
+        assert threads["execute"] == {"net-aio"}
+        assert threads["statement"] == {"group-commit"}
+        assert threads["read"] and all(
+            name.startswith("service-query") for name in threads["read"]
+        )
+        assert blocked_in_scenario == []
 
 
 class TestNestedPools:
     def test_more_executes_than_query_workers_complete_beside_queries(self):
-        """``execute`` runs on the loop's default executor and its nested
-        query on the service's query pool; were they one pool, executes
-        occupying every worker would wait forever on their own queries."""
+        """Executes hold no pool thread of their own: an update waits on
+        the committer and a read runs once on the query pool, so more
+        concurrent executes than query workers, beside plain queries,
+        all complete."""
         workers = 2
         service = make_service(query_workers=workers)
         server = AsyncNetServer(service, own_service=True).start()
