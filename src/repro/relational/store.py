@@ -280,15 +280,18 @@ class XmlStore:
             return None
         return self.query(statement if isinstance(statement, str) else query)
 
-    def query(self, statement: Union[str, Query]) -> list[Element]:
+    def query(
+        self, statement: Union[str, Query], key: Optional[str] = None
+    ) -> list[Element]:
         """Run a FLWR statement via the Sorted Outer Union.
 
-        Statement *text* is translated through the per-store plan cache
-        (pre-parsed :class:`Query` objects skip it — there is no stable
-        key for them); the SQL runs on the reader pool when one is
+        Statement *text* is translated through the per-store plan cache.
+        A pre-parsed :class:`Query` uses it only when ``key`` gives its
+        text, parsed under this store's policy (there is no stable key
+        otherwise).  The SQL runs on the reader pool when one is
         configured (:meth:`Database.read_query`).
         """
-        text = statement if isinstance(statement, str) else None
+        text = statement if isinstance(statement, str) else key
         query = self.parse(statement) if isinstance(statement, str) else statement
         if query.is_update:
             raise StorageError("use execute() for update statements")

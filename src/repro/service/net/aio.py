@@ -2,8 +2,9 @@
 
 **Shared machinery.**  :class:`LoopThread` hosts an event loop on a
 background thread; :class:`FrameServer` (listener lifecycle, connection
-admission, graceful drain) and :class:`FrameConnection` (the
-per-connection read loop) are the bases that both
+admission, graceful drain) and :class:`FrameConnection` (one connection
+as :class:`asyncio.Protocol` callbacks over a
+:class:`~repro.service.net.core.FrameDecoder`) are the bases that both
 :class:`AsyncNetServer` here and the shard router
 (:mod:`repro.service.router`) extend — the two differ only in what
 handles one decoded request and what a connection waits for before it
@@ -11,37 +12,46 @@ is settled.  Because the loop lives on its own thread, a server's
 lifecycle API (``start`` / ``address`` / ``close``) is synchronous: the
 CLI, tests and benches drive it from plain threads.
 
-**Server shape.**  Each connection is a coroutine that parses frames,
-hands each request to :meth:`Dispatcher.dispatch
-<repro.service.net.handlers.Dispatcher.dispatch>` on the loop, and
-writes responses.  Nothing on the loop blocks: a request makes at most
-one round trip between the loop and the thread that does its work.
-Counted as thread handoffs: ``ping``, ``stats`` and ``submit`` are
-answered on the loop (2 → 0); ``submit_wait`` is admitted on the loop
-and awaits the ticket the group-commit thread resolves, ``query``
-awaits the service's query-pool future, and ``execute`` does one or the
-other after parsing its statement on the loop (4 → 2 each: loop → that
-thread → loop, with no dispatch thread parked in between); ``flush``
-and ``checkpoint``, which block a thread by nature, run on the loop's
-default executor.  An idle connection
-therefore costs one task and a few KiB, which is what lets one process
-hold 10k+ connections.
+**Server shape.**  ``data_received`` decodes each complete frame and
+hands it to :meth:`Dispatcher.dispatch
+<repro.service.net.handlers.Dispatcher.dispatch>` in the same callback.
+A response at hand is written there and then.  A request another thread
+answers comes back as a :class:`~repro.service.net.handlers.Pending`
+record: the connection adds one done-callback to its future (a thread's
+future reaches the loop through one ``call_soon_threadsafe``) and arms
+one timer at its deadline, and whichever fires first writes the answer.
+Nothing on the loop blocks, and no request creates a task.  Counted per
+request on the server loop, with one lockstep client: ``ping`` and
+``submit`` take 3 tasks and ~8.7 loop iterations when each connection
+was a coroutine, and 0 tasks and 1 iteration now; ``submit_wait``,
+``query`` and ``execute`` take 3 tasks and ~12 iterations then, 0 and 2
+now.  Counted as thread hand-offs: ``ping``, ``stats`` and ``submit``
+are answered on the loop (0); ``submit_wait`` is admitted on the loop
+and answered when the group-commit thread resolves its ticket, ``query``
+when the service's query pool resolves its future, and ``execute`` does
+one or the other after parsing its statement on the loop (2 each: loop →
+that thread → loop); ``flush`` and ``checkpoint``, which block a thread
+by nature, run on the loop's default executor.  An idle connection is
+therefore a transport, a protocol object and a few KiB, and no task,
+which is what lets one process hold 10k+ connections.
 
-**Pipelining.**  Request ids permit out-of-order completion: the read
-loop keeps parsing frames while earlier dispatches are still executing,
-each response is written (under a per-connection write lock, so chunk
-sequences stay contiguous) whenever its dispatch finishes, and
-``max_inflight`` bounds the concurrently executing requests per
-connection — the excess is shed with retryable ``BUSY`` frames instead
-of buffered.
+**Pipelining.**  Request ids permit out-of-order completion: frames are
+handled as they arrive while earlier requests are still executing, each
+response is written whenever its answer is ready, and ``max_inflight``
+bounds the requests executing per connection — the excess is shed with
+retryable ``BUSY`` frames instead of buffered.  Responses queue in
+order, so a chunk sequence goes out contiguously, one chunk at a time as
+the transport drains; above the transport's high-water mark the
+connection stops reading, so a peer that does not read its responses
+stops being read.
 
 **Admission and drain.**  At most ``max_connections`` (excess answered
-with one ``BUSY`` frame and closed); ``close()`` stops accepting, lets
-in-flight dispatches finish against a deadline, closes each session
-(awaiting its tickets on the loop — acked async submits are durable
-before drain completes), counts stragglers into
-``net.close.undrained_connections``, and finally closes the service
-when it owns it.
+with one id-0 ``BUSY`` frame and closed); ``close()`` stops accepting
+and reading, lets in-flight requests finish against a deadline, closes
+each session (awaiting its tickets on the loop, one task per connection
+at close — acked async submits are durable before drain completes),
+counts stragglers into ``net.close.undrained_connections``, and finally
+closes the service when it owns it.
 
 **Streaming responses.**  A query result above the chunk threshold is
 answered with bounded chunk frames
@@ -56,7 +66,8 @@ import itertools
 import random
 import threading
 import time
-from typing import Any, Coroutine, Iterable, Optional
+from collections import deque
+from typing import Any, Awaitable, Coroutine, Iterable, Iterator, Optional
 
 from repro.errors import (
     ProtocolError,
@@ -74,6 +85,7 @@ from repro.service.net.core import (
     MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
     ChunkAssembler,
+    FrameDecoder,
     busy_retry_delay,
     decode_frame_payload,
     encode_frame,
@@ -82,51 +94,34 @@ from repro.service.net.core import (
     reply_id,
     split_response,
 )
-from repro.service.net.handlers import Dispatcher
+from repro.service.net.handlers import Dispatcher, Pending
 from repro.service.ops import ServiceOp, op_to_dict
 from repro.service.server import UpdateService
 
 
 # ----------------------------------------------------------------------
-# Async frame I/O
+# Async frame I/O (clients and the router's upstream pipes)
 # ----------------------------------------------------------------------
-async def read_raw_frame(
-    reader: asyncio.StreamReader, *, stall_timeout: Optional[float] = None
-) -> Optional[bytes]:
-    """One frame's payload bytes; None on clean EOF between frames.
-
-    Waiting for a frame to *begin* is untimed (idle connections are
-    fine); once the first byte has arrived the remainder must land
-    within ``stall_timeout`` or the peer is declared wedged with a
-    :class:`ProtocolError` — a partial frame must never be retried as
-    if the connection were idle.
-    """
-    first = await reader.read(1)
-    if not first:
-        return None
-
-    async def rest() -> bytes:
-        header = first + await reader.readexactly(HEADER.size - 1)
-        (length,) = HEADER.unpack(header)
-        if length > MAX_FRAME_BYTES:
-            raise ProtocolError(f"frame of {length} bytes exceeds {MAX_FRAME_BYTES}")
-        return await reader.readexactly(length)
-
+async def read_raw_frame(reader: asyncio.StreamReader) -> Optional[bytes]:
+    """One frame's payload bytes; None on clean EOF between frames."""
     try:
-        if stall_timeout is None:
-            return await rest()
-        return await asyncio.wait_for(rest(), stall_timeout)
+        header = await reader.readexactly(HEADER.size)
+    except asyncio.IncompleteReadError as error:
+        if not error.partial:
+            return None
+        raise ProtocolError("connection closed mid-frame") from None
+    (length,) = HEADER.unpack(header)
+    if length > MAX_FRAME_BYTES:
+        raise ProtocolError(f"frame of {length} bytes exceeds {MAX_FRAME_BYTES}")
+    try:
+        return await reader.readexactly(length)
     except asyncio.IncompleteReadError:
         raise ProtocolError("connection closed mid-frame") from None
-    except asyncio.TimeoutError:
-        raise ProtocolError("peer stalled mid-frame") from None
 
 
-async def read_frame_async(
-    reader: asyncio.StreamReader, *, stall_timeout: Optional[float] = None
-) -> Optional[dict]:
+async def read_frame_async(reader: asyncio.StreamReader) -> Optional[dict]:
     """One decoded frame; None on clean EOF between frames."""
-    payload = await read_raw_frame(reader, stall_timeout=stall_timeout)
+    payload = await read_raw_frame(reader)
     return None if payload is None else decode_frame_payload(payload)
 
 
@@ -175,35 +170,61 @@ class LoopThread:
 # ----------------------------------------------------------------------
 # Frame server and connection bases
 # ----------------------------------------------------------------------
-class FrameConnection:
-    """One client connection: read frames until EOF or drain, hand each
-    decoded request to :meth:`handle`, then :meth:`settle` whatever is
-    still in flight before closing.
+class FrameConnection(asyncio.Protocol):
+    """One client connection, served as protocol callbacks.
+
+    ``data_received`` feeds a :class:`~repro.service.net.core.FrameDecoder`
+    and hands each complete request to :meth:`handle` in the same
+    callback: a request creates no task, and an open connection has
+    none.  Once input ends (EOF, a malformed or stalled frame, or the
+    server's drain), one task per connection runs :meth:`settle` to wait
+    for what is still in flight and then closes the transport, and
+    :meth:`release` gives up what the connection owns.
 
     Subclasses say what a request means (:meth:`handle`), what must
     finish before the connection may close (:meth:`settle`), and what
-    the connection owns (:meth:`release`).
+    the connection owns (:meth:`release`).  :meth:`handle` answers
+    through :meth:`send_frames` / :meth:`send_raw`, or returns an
+    awaitable when it must wait (the router opening an upstream
+    connection): reading pauses until it finishes, so requests are still
+    handled one at a time and in order.
+
+    Reading also pauses while the transport is above its write
+    high-water mark, so a peer that does not read its responses stops
+    being read.  Responses are written in order, a chunk sequence
+    contiguously and one chunk at a time as the transport drains, so at
+    most one chunk beyond the high-water mark is ever buffered.  A frame
+    that starts arriving must finish within the server's
+    ``max_request_timeout``, or the connection is dropped.
     """
 
-    def __init__(
-        self,
-        server: "FrameServer",
-        conn_id: int,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-    ) -> None:
+    def __init__(self, server: "FrameServer", conn_id: int) -> None:
         self.server = server
         self.id = conn_id
-        self.reader = reader
-        self.writer = writer
-        self.stopping = asyncio.Event()
+        self.loop = asyncio.get_running_loop()
+        self.transport: Optional[asyncio.Transport] = None
         self.done = asyncio.Event()
         #: Set when the drain deadline cut this connection loose.
         self.aborted = False
-        self._write_lock = asyncio.Lock()
+        self._decoder = FrameDecoder()
+        #: Response frame sequences not yet written, oldest first.
+        self._outbox: deque[Iterator[bytes]] = deque()
+        self._write_paused = False
+        self._flushed: Optional[asyncio.Future] = None
+        self._reading = True
+        #: The awaitable :meth:`handle` returned, while it runs.
+        self._hold: Optional[asyncio.Task] = None
+        self._stall: Optional[asyncio.TimerHandle] = None
+        #: No further request is handled (EOF, bad stream, or drain).
+        self._input_done = False
+        #: The transport is closed or closing; nothing more is written.
+        self._closed = False
+        #: Settles and closes, once input ends; then awaits release().
+        self._closer: Optional[asyncio.Task] = None
         self._tasks: set[asyncio.Task] = set()
 
-    async def handle(self, request: dict, payload: bytes) -> None:
+    # -- what subclasses define ----------------------------------------
+    def handle(self, request: dict, payload: bytes) -> Optional[Awaitable]:
         raise NotImplementedError
 
     async def settle(self) -> None:
@@ -212,85 +233,209 @@ class FrameConnection:
         if self._tasks:
             await asyncio.gather(*self._tasks, return_exceptions=True)
 
-    async def release(self) -> None:
-        """Give up what the connection owns (runs exactly once)."""
+    def release(self) -> Optional[Awaitable]:
+        """Give up what the connection owns, including any request still
+        waiting to be answered (runs exactly once, after the transport is
+        gone); an awaitable it returns is awaited before the connection
+        counts as done."""
 
-    def spawn(self, coro: Coroutine) -> asyncio.Task:
-        """Run ``coro`` as a task this connection waits for (or, past
-        the drain deadline, cancels)."""
-        task = asyncio.get_running_loop().create_task(coro)
-        self._tasks.add(task)
-        task.add_done_callback(self._tasks.discard)
-        return task
+    # -- protocol callbacks --------------------------------------------
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        self.transport = transport  # type: ignore[assignment]
+        if not self._reading:  # a drain began between admission and now
+            transport.pause_reading()  # type: ignore[attr-defined]
+
+    def data_received(self, data: bytes) -> None:
+        if self._input_done:
+            return
+        self._decoder.extend(data)
+        self._handle_frames()
+
+    def eof_received(self) -> bool:
+        self.stop()
+        return True  # keep the transport open to answer what is in flight
+
+    def pause_writing(self) -> None:
+        self._write_paused = True
+        self._update_reading()
+
+    def resume_writing(self) -> None:
+        self._write_paused = False
+        self._flush()
+        self._update_reading()
+        self._handle_frames()
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self._closed = self._input_done = True
+        self._reading = False
+        self._cancel_stall()
+        self._outbox.clear()
+        self._wake_flushed()
+        for task in list(self._tasks):
+            task.cancel()
+        if self._closer is not None:
+            self._closer.cancel()
+        waiter = self.release()
+        if waiter is None:
+            self._finish()
+        else:
+            self._closer = self.loop.create_task(self._released(waiter))
+
+    # -- reading --------------------------------------------------------
+    def _handle_frames(self) -> None:
+        decoder = self._decoder
+        completed = False
+        while not (self._input_done or self._hold is not None or self._write_paused):
+            try:
+                payload = decoder.next_payload()
+                if payload is None:
+                    break
+                request = decode_frame_payload(payload)
+            except ProtocolError:
+                self.stop()  # malformed stream: drop it
+                return
+            completed = True
+            waiter = self.handle(request, payload)
+            if waiter is not None:
+                self._hold = self.spawn(waiter)
+                self._hold.add_done_callback(self._unhold)
+                self._update_reading()
+        self._watch_stall(completed)
+
+    def _unhold(self, task: asyncio.Task) -> None:
+        self._hold = None
+        if not task.cancelled() and task.exception() is not None:
+            self.stop()
+        self._update_reading()
+        self._handle_frames()
+
+    def _update_reading(self) -> None:
+        reading = not (self._input_done or self._hold is not None or self._write_paused)
+        if reading != self._reading:
+            self._reading = reading
+            if self.transport is None or self._closed:
+                return
+            if reading:
+                self.transport.resume_reading()
+            else:
+                self.transport.pause_reading()
+
+    def _watch_stall(self, restart: bool) -> None:
+        """Arm the stall timer while a partial frame waits for bytes;
+        a completed frame restarts it."""
+        waiting = self._reading and self._decoder.mid_frame
+        if self._stall is not None and (restart or not waiting):
+            self._cancel_stall()
+        if waiting and self._stall is None:
+            self._stall = self.loop.call_later(
+                self.server._max_request_timeout, self._stalled
+            )
+
+    def _cancel_stall(self) -> None:
+        if self._stall is not None:
+            self._stall.cancel()
+            self._stall = None
+
+    def _stalled(self) -> None:
+        self._stall = None
+        if self._reading:  # else re-armed when reading resumes
+            self.stop()  # the peer stalled mid-frame: drop it
+
+    # -- closing ----------------------------------------------------------
+    def stop(self) -> None:
+        """Handle no further request; close once :meth:`settle` returns."""
+        if self._input_done:
+            return
+        self._input_done = True
+        self._cancel_stall()
+        self._update_reading()
+        self._closer = self.loop.create_task(self._close())
+
+    async def _close(self) -> None:
+        await self.settle()
+        await self.flushed()
+        self._closed = True
+        self.transport.close()
 
     def abort(self) -> None:
         """Drain deadline passed: cut the connection loose."""
         self.aborted = True
-        for task in list(self._tasks):
-            task.cancel()
-        try:
-            self.writer.close()
-        except Exception:
-            pass
+        self._closed = True
+        if self._closer is not None:
+            self._closer.cancel()
+        if self.transport is not None:
+            self.transport.abort()
 
-    async def serve(self) -> None:
-        stall_timeout = self.server._max_request_timeout
-        stop_task = asyncio.create_task(self.stopping.wait())
+    async def _released(self, waiter: Awaitable) -> None:
         try:
-            while True:
-                read_task = asyncio.create_task(
-                    read_raw_frame(self.reader, stall_timeout=stall_timeout)
-                )
-                await asyncio.wait(
-                    {read_task, stop_task}, return_when=asyncio.FIRST_COMPLETED
-                )
-                if not read_task.done():
-                    read_task.cancel()  # idle (or mid-frame) during drain
-                    try:
-                        await read_task
-                    except (asyncio.CancelledError, Exception):
-                        pass
-                    break
-                try:
-                    payload = read_task.result()
-                    if payload is None:
-                        break  # clean EOF
-                    request = decode_frame_payload(payload)
-                except (ProtocolError, OSError, ConnectionError):
-                    break  # malformed stream or dead peer: drop it
-                await self.handle(request, payload)
-            await self.settle()
+            await waiter
         finally:
-            stop_task.cancel()
-            for task in list(self._tasks):
-                task.cancel()
-            try:
-                await self.release()
-            finally:
-                try:
-                    self.writer.close()
-                    await self.writer.wait_closed()
-                except Exception:
-                    pass
-                self.done.set()
+            self._finish()
 
-    # The write lock keeps a chunk sequence contiguous even while other
-    # pipelined responses are completing.
-    async def _send(self, frames: Iterable[bytes]) -> None:
-        try:
-            async with self._write_lock:
-                for data in frames:
-                    self.writer.write(data)
-                    await self.writer.drain()
-        except (OSError, ConnectionError):
-            pass  # dead peer: the read loop will notice EOF and exit
+    def _finish(self) -> None:
+        self.server._forget(self)
+        self.done.set()
 
-    async def send_frames(self, frames: Iterable[dict]) -> None:
-        await self._send(encode_frame(frame) for frame in frames)
+    def spawn(self, coro: Awaitable) -> asyncio.Task:
+        """Run ``coro`` as a task this connection waits for (or, once
+        the transport is gone, cancels)."""
+        task = asyncio.ensure_future(coro)
+        self._tasks.add(task)
+        task.add_done_callback(self._tasks.discard)
+        return task
 
-    async def send_raw(self, payload: bytes) -> None:
+    # -- writing ----------------------------------------------------------
+    def _send(self, frames: Iterator[bytes]) -> None:
+        if self._closed:
+            return
+        self._outbox.append(frames)
+        if len(self._outbox) == 1:
+            self._flush()
+
+    def _flush(self) -> None:
+        if self._closed:
+            return
+        outbox, transport = self._outbox, self.transport
+        while outbox and not self._write_paused:
+            for data in outbox[0]:
+                transport.write(data)
+                if self._write_paused:
+                    return  # resume_writing continues this sequence
+            outbox.popleft()
+        if not outbox:
+            self._wake_flushed()
+
+    def _wake_flushed(self) -> None:
+        if self._flushed is not None:
+            if not self._flushed.done():
+                self._flushed.set_result(None)
+            self._flushed = None
+
+    async def flushed(self) -> None:
+        """Wait until every queued response frame has gone to the
+        transport (or the transport is gone)."""
+        if self._outbox:
+            if self._flushed is None:
+                self._flushed = self.loop.create_future()
+            await self._flushed
+
+    def send_frames(self, frames: Iterable[dict]) -> None:
+        self._send(encode_frame(frame) for frame in frames)
+
+    def send_raw(self, payload: bytes) -> None:
         """Relay one frame's payload bytes verbatim (no re-encode)."""
-        await self._send((HEADER.pack(len(payload)) + payload,))
+        self._send(iter((HEADER.pack(len(payload)) + payload,)))
+
+
+class _Refused(asyncio.Protocol):
+    """A connection past the limit: one id-0 ``BUSY`` frame, then close."""
+
+    def __init__(self, frame: bytes) -> None:
+        self._frame = frame
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        transport.write(self._frame)  # type: ignore[attr-defined]
+        transport.close()
 
 
 class FrameServer:
@@ -328,9 +473,7 @@ class FrameServer:
         self._draining = False
         self._closed = False
 
-    def _connection(
-        self, conn_id: int, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> FrameConnection:
+    def _connection(self, conn_id: int) -> FrameConnection:
         raise NotImplementedError
 
     def _release(self, timeout: Optional[float]) -> None:
@@ -359,8 +502,8 @@ class FrameServer:
         return self
 
     async def _open_listener(self) -> None:
-        self._server = await asyncio.start_server(
-            self._handle_connection, self._host, self._port, backlog=1024
+        self._server = await asyncio.get_running_loop().create_server(
+            self._accept, self._host, self._port, backlog=1024
         )
         self._address = self._server.sockets[0].getsockname()[:2]
 
@@ -411,7 +554,7 @@ class FrameServer:
             await self._server.wait_closed()
         connections = list(self._connections.values())
         for connection in connections:
-            connection.stopping.set()
+            connection.stop()
         undrained = 0
         for connection in connections:
             remaining = (
@@ -430,37 +573,24 @@ class FrameServer:
     # ------------------------------------------------------------------
     # Connections
     # ------------------------------------------------------------------
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
+    def _accept(self) -> asyncio.Protocol:
+        """The listener's protocol factory: admit, or refuse with BUSY."""
         registry = get_registry()
         if self._draining or len(self._connections) >= self._max_connections:
             registry.counter(f"{self._metrics}.rejected").inc()
             busy = ServiceBusyError(
                 f"connection limit ({self._max_connections}) reached"
             )
-            try:
-                writer.write(encode_frame(error_frame(0, busy)))
-                await writer.drain()
-            except (OSError, ConnectionError):
-                pass
-            writer.close()
-            return
+            return _Refused(encode_frame(error_frame(0, busy)))
         self._next_connection += 1
-        connection = self._connection(self._next_connection, reader, writer)
+        connection = self._connection(self._next_connection)
         self._connections[connection.id] = connection
-        gauge = registry.gauge(f"{self._metrics}.connections")
-        gauge.inc()
-        try:
-            await connection.serve()
-        except asyncio.CancelledError:
-            # The loop is shutting down with this connection cut loose
-            # at the drain deadline; end quietly (asyncio's streams log
-            # a connection handler that ends cancelled as an error).
-            pass
-        finally:
-            self._connections.pop(connection.id, None)
-            gauge.dec()
+        registry.gauge(f"{self._metrics}.connections").inc()
+        return connection
+
+    def _forget(self, connection: FrameConnection) -> None:
+        if self._connections.pop(connection.id, None) is not None:
+            get_registry().gauge(f"{self._metrics}.connections").dec()
 
 
 # ----------------------------------------------------------------------
@@ -468,8 +598,9 @@ class FrameServer:
 # ----------------------------------------------------------------------
 class AsyncNetServer(FrameServer):
     """The TCP front end over one :class:`UpdateService`: requests are
-    dispatched on the event loop, which awaits the committer's tickets
-    and the query pool's futures directly."""
+    dispatched on the event loop, and a request another thread answers
+    (the committer's ticket, the query pool's future) is written from
+    that future's done-callback."""
 
     def __init__(
         self,
@@ -503,12 +634,35 @@ class AsyncNetServer(FrameServer):
     def _net_info(self) -> dict:
         return {**super()._net_info(), "transport": "asyncio"}
 
-    def _connection(self, conn_id, reader, writer) -> "_AsyncConnection":
-        return _AsyncConnection(self, conn_id, reader, writer)
+    def _connection(self, conn_id: int) -> "_AsyncConnection":
+        return _AsyncConnection(self, conn_id)
 
     def _release(self, timeout: Optional[float]) -> None:
         if self._own_service:
             self.service.close(drain=True, timeout=timeout)
+
+
+class _InFlight:
+    """One pending request on a connection: its record, when it
+    arrived, and the timer armed at its deadline."""
+
+    __slots__ = ("connection", "pending", "started", "timer")
+
+    def __init__(self, connection: "_AsyncConnection", pending: Pending, started: float) -> None:
+        self.connection = connection
+        self.pending = pending
+        self.started = started
+        self.timer: Optional[asyncio.TimerHandle] = None
+
+    def resolved(self, _future: concurrent.futures.Future) -> None:
+        """Done-callback on the thread that resolved the future: one hop
+        to the loop.  A loop that has already closed has no connection
+        left to answer."""
+        connection = self.connection
+        try:
+            connection.loop.call_soon_threadsafe(connection._answer, self)
+        except RuntimeError:
+            pass
 
 
 class _AsyncConnection(FrameConnection):
@@ -516,68 +670,115 @@ class _AsyncConnection(FrameConnection):
 
     server: AsyncNetServer
 
-    def __init__(self, server, conn_id, reader, writer) -> None:
-        super().__init__(server, conn_id, reader, writer)
+    def __init__(self, server: AsyncNetServer, conn_id: int) -> None:
+        super().__init__(server, conn_id)
         self.session = server.service.open_session()
+        self._inflight: set[_InFlight] = set()
+        self._settled: Optional[asyncio.Future] = None
 
-    async def handle(self, request: dict, payload: bytes) -> None:
+    def handle(self, request: dict, payload: bytes) -> None:
         server = self.server
-        if len(self._tasks) >= server._max_inflight:
+        registry = get_registry()
+        if len(self._inflight) >= server._max_inflight:
             # Shed instead of buffering: the pipeline is full.
-            get_registry().counter("net.rejected").inc()
+            registry.counter("net.rejected").inc()
             busy = ServiceBusyError(
-                f"connection has {len(self._tasks)} requests executing "
+                f"connection has {len(self._inflight)} requests executing "
                 f"(limit {server._max_inflight}); slow down"
             )
-            await self.send_frames([error_frame(reply_id(request), busy)])
+            self.send_frames([error_frame(reply_id(request), busy)])
             return
-        self.spawn(self._process(request))
-
-    async def _process(self, request: dict) -> None:
-        registry = get_registry()
-        server = self.server
         started = time.monotonic()
         registry.counter("net.requests").inc()
         try:
             response = server._dispatcher.dispatch(self.session, request)
-            if not isinstance(response, dict):
-                response = await response
-        except asyncio.CancelledError:
-            raise
         except Exception as error:
-            response = error_frame(
-                reply_id(request), ServiceError(f"internal error: {error}")
-            )
+            response = error_frame(reply_id(request), error)
+        if isinstance(response, Pending):
+            self._wait_for(response, started)
+        else:
+            self._respond(response, started)
+
+    def _wait_for(self, pending: Pending, started: float) -> None:
+        future = pending.deferred.future
+        if future.done():
+            self._respond(pending.response(), started)
+            return
+        entry = _InFlight(self, pending, started)
+        self._inflight.add(entry)
+        entry.timer = self.loop.call_later(
+            max(0.0, pending.deadline - time.monotonic()), self._expire, entry
+        )
+        if isinstance(future, asyncio.Future):
+            future.add_done_callback(lambda _future: self._answer(entry))
+        else:
+            future.add_done_callback(entry.resolved)
+
+    def _answer(self, entry: _InFlight) -> None:
+        if entry not in self._inflight:
+            return  # answered at its deadline, or the connection is gone
+        self._inflight.discard(entry)
+        entry.timer.cancel()
+        self._respond(entry.pending.response(), entry.started)
+
+    def _expire(self, entry: _InFlight) -> None:
+        if entry not in self._inflight:
+            return
+        self._inflight.discard(entry)
+        entry.pending.deferred.future.cancel()
+        self._respond(entry.pending.expired(), entry.started)
+
+    def _respond(self, response: dict, started: float) -> None:
+        registry = get_registry()
         registry.histogram("net.request_ms").observe(
             (time.monotonic() - started) * 1000.0
         )
         if not response.get("ok", False):
             registry.counter("net.rejected").inc()
-        frames = split_response(response, server._chunk_bytes)
+        frames = split_response(response, self.server._chunk_bytes)
         if len(frames) > 1:
             registry.counter("net.chunks").inc(len(frames))
-        await self.send_frames(frames)
+        self.send_frames(frames)
+        if not self._inflight and self._settled is not None:
+            if not self._settled.done():
+                self._settled.set_result(None)
+            self._settled = None
 
-    async def release(self) -> None:
+    async def settle(self) -> None:
+        if self._inflight:
+            self._settled = self.loop.create_future()
+            await self._settled
+
+    def release(self) -> Optional[Awaitable]:
+        for entry in self._inflight:
+            entry.timer.cancel()  # nobody is left to answer
+        self._inflight.clear()
         # Await this connection's tickets on the loop — acked async
         # submits are durable before drain finishes — then close the
         # session, which only counts what is still unresolved.  Past the
         # drain deadline nothing is awaited: the loop is about to stop.
-        waits = [] if self.aborted else [
-            asyncio.wrap_future(ticket.future) for ticket in self.session.unresolved()
-        ]
+        tickets = [] if self.aborted else self.session.unresolved()
+        if not tickets:
+            self._close_session()
+            return None
+        return self._await_tickets(tickets)
+
+    async def _await_tickets(self, tickets: list) -> None:
+        waits = [asyncio.wrap_future(ticket.future) for ticket in tickets]
         try:
-            if waits:
-                await asyncio.wait(waits, timeout=self.server._max_request_timeout)
+            await asyncio.wait(waits, timeout=self.server._max_request_timeout)
         finally:
             for wait in waits:
                 if wait.done():
                     wait.exception()  # a failure is counted by close() below
                 else:
                     wait.cancel()  # stops the wait; the ticket cannot be cancelled
-            undrained = self.session.close(timeout=0.0)
-            if undrained:
-                get_registry().counter("net.close.undrained").inc(undrained)
+            self._close_session()
+
+    def _close_session(self) -> None:
+        undrained = self.session.close(timeout=0.0)
+        if undrained:
+            get_registry().counter("net.close.undrained").inc(undrained)
 
 
 # ----------------------------------------------------------------------

@@ -12,9 +12,10 @@ no transport (it imports neither ``socket`` nor ``asyncio``):
   :func:`decode_frame_payload`);
 * :class:`FrameDecoder` — an incremental decoder: feed it whatever byte
   slices a transport produced, however fragmented or coalesced, and it
-  yields exactly the frames that were sent.  The Hypothesis suite drives
-  it with randomly re-chunked streams, and raw-socket test probes read
-  through it;
+  yields exactly the frames that were sent.  Every server connection
+  reads through it (one payload at a time, so it can stop between
+  frames), the Hypothesis suite drives it with randomly re-chunked
+  streams, and raw-socket test probes read through it;
 * chunked responses: :func:`split_response` turns one large response
   into a sequence of bounded chunk frames, and :class:`ChunkAssembler`
   reassembles them on the client;
@@ -38,6 +39,7 @@ from typing import Iterator, Optional
 
 from repro.errors import (
     ProtocolError,
+    ReproError,
     ServiceBusyError,
     ServiceClosedError,
     ServiceError,
@@ -85,6 +87,11 @@ def error_to_exception(record: object) -> ServiceError:
 
 
 def error_frame(request_id: int, error: Exception) -> dict:
+    """The error response to request ``request_id``.  An error that is
+    not a :class:`~repro.errors.ReproError` goes out as an internal
+    error with its message only: never a traceback over the wire."""
+    if not isinstance(error, ReproError):
+        error = ServiceError(f"internal error: {error}")
     return {
         "v": PROTOCOL_VERSION,
         "id": request_id,
@@ -167,32 +174,49 @@ class FrameDecoder:
 
     def __init__(self, max_frame_bytes: int = MAX_FRAME_BYTES) -> None:
         self._buffer = bytearray()
+        #: Offset of the first byte not yet returned as a frame.
+        self._start = 0
         self._max_frame_bytes = max_frame_bytes
 
     @property
     def mid_frame(self) -> bool:
         """True when a partial frame is buffered (EOF now is an error)."""
-        return len(self._buffer) > 0
+        return len(self._buffer) > self._start
 
     def feed(self, data: bytes) -> list[dict]:
         """Buffer ``data`` and return every frame it completed."""
-        self._buffer.extend(data)
-        frames: list[dict] = []
-        while True:
-            if len(self._buffer) < HEADER.size:
-                break
-            (length,) = HEADER.unpack_from(self._buffer)
+        self.extend(data)
+        return [decode_frame_payload(payload) for payload in iter(self.next_payload, None)]
+
+    def extend(self, data: bytes) -> None:
+        """Buffer ``data`` without decoding anything yet."""
+        self._buffer += data
+
+    def next_payload(self) -> Optional[bytes]:
+        """The next complete frame's payload bytes, or None until more
+        bytes arrive.  A consumer that must stop between frames (a
+        server whose peer is not reading) takes them one at a time and
+        leaves the rest buffered."""
+        buffer, start = self._buffer, self._start
+        if len(buffer) - start >= HEADER.size:
+            (length,) = HEADER.unpack_from(buffer, start)
             if length > self._max_frame_bytes:
                 raise ProtocolError(
                     f"frame of {length} bytes exceeds {self._max_frame_bytes}"
                 )
-            end = HEADER.size + length
-            if len(self._buffer) < end:
-                break
-            payload = bytes(self._buffer[HEADER.size : end])
-            del self._buffer[:end]
-            frames.append(decode_frame_payload(payload))
-        return frames
+            end = start + HEADER.size + length
+            if len(buffer) >= end:
+                payload = bytes(buffer[start + HEADER.size : end])
+                if end == len(buffer):
+                    buffer.clear()
+                    self._start = 0
+                else:
+                    self._start = end
+                return payload
+        if start:
+            del buffer[:start]  # keep only the partial frame
+            self._start = 0
+        return None
 
 
 def parse_address(text: str) -> tuple[str, int]:

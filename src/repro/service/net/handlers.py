@@ -11,29 +11,33 @@ the statement work that :meth:`UpdateService.execute
 <repro.service.server.UpdateService.execute>`, the ``serve`` console's
 call, waits for.
 
-``dispatch(session, request)`` runs on the server's event loop and
-never blocks it.  It returns the complete response frame when the
-answer is at hand, or an awaitable of it when a thread still has work
-to do — :class:`~repro.service.net.aio.AsyncNetServer` awaits that
-under the request's single deadline and sends whatever frames
-:func:`~repro.service.net.core.split_response` derives from the result.
-Per kind, counted as handoffs between the loop and another thread:
+``dispatch(session, request)`` runs on the server's event loop, never
+blocks it, and never returns a coroutine.  It returns the complete
+response frame when the answer is at hand, or a :class:`Pending`
+record when a thread still has work to do: the request id, the
+handler's :class:`Deferred` and the request's deadline.  The
+connection (:class:`~repro.service.net.aio.AsyncNetServer`'s) answers
+a pending request from a done-callback on its future or from a timer at
+its deadline, whichever fires first, and sends whatever frames
+:func:`~repro.service.net.core.split_response` derives from the answer.
+Per kind, counted as hand-offs between the loop and another thread:
 
 * ``ping``, ``stats`` and ``submit`` are answered on the loop: **0**.
 * ``submit_wait`` is admitted on the loop (``submit(op, timeout=0)``:
-  a full queue answers retryable ``BUSY``) and the loop awaits the
-  ticket the committer resolves; ``query`` hands its work to the
-  service's query pool and awaits that future; ``execute`` parses its
-  statement on the loop (as ``submit`` decodes its payload there) and
-  then does one or the other through
+  a full queue answers retryable ``BUSY``) and answered when the
+  committer resolves its ticket; ``query`` hands its work to the
+  service's query pool and is answered when that future resolves;
+  ``execute`` parses its statement on the loop (as ``submit`` decodes
+  its payload there) and then does one or the other through
   :meth:`UpdateService.execute_future
   <repro.service.server.UpdateService.execute_future>` — an update is
   admitted like ``submit_wait``, so a full queue answers ``BUSY`` at
   once, and a read goes to the query pool with the parsed statement:
-  **2** each (loop → the working thread → loop).
+  **2** each (loop → the working thread → loop, the second through one
+  ``call_soon_threadsafe``).
 * ``flush`` and ``checkpoint`` block a thread by nature (the batcher
   barrier, the checkpoint capture), so their handlers run unchanged on
-  the loop's default executor.
+  the loop's default executor, whose asyncio future needs no hop back.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ from __future__ import annotations
 import asyncio
 import time
 from concurrent.futures import Future
-from typing import Awaitable, Callable, NamedTuple, Optional, TypeVar, Union
+from typing import Callable, NamedTuple, Optional, TypeVar, Union
 
 from repro.errors import (
     ProtocolError,
@@ -79,6 +83,39 @@ class Deferred(NamedTuple):
     key: Optional[str] = None
 
 
+class Pending(NamedTuple):
+    """A request :meth:`Dispatcher.dispatch` could not answer at once:
+    its id, the handler's :class:`Deferred`, and its monotonic
+    deadline (the clock of ``time.monotonic``)."""
+
+    request_id: int
+    deferred: Deferred
+    deadline: float
+
+    def response(self) -> dict:
+        """The response frame, once the deferred future is done."""
+        future = self.deferred.future
+        if future.cancelled():
+            return error_frame(self.request_id, ServiceError("request cancelled"))
+        error = future.exception()
+        if error is not None:
+            return error_frame(self.request_id, error)
+        value = future.result()
+        key = self.deferred.key
+        return _ok(self.request_id, value if key is None else {key: value})
+
+    def expired(self) -> dict:
+        """The response frame when the deadline passes first.  The caller
+        cancels the future: a query still queued never runs; a ticket's
+        future cannot be cancelled, so the operation still commits."""
+        return error_frame(self.request_id, ServiceTimeoutError("request deadline passed"))
+
+
+def _ok(request_id: int, body: dict) -> dict:
+    body.update({"v": PROTOCOL_VERSION, "id": request_id, "ok": True})
+    return body
+
+
 def _on_executor(handler: Callable) -> Callable:
     """Run a blocking handler on the loop's default executor."""
 
@@ -113,11 +150,10 @@ class Dispatcher:
         self._net_info = net_info or (lambda: {})
 
     # ------------------------------------------------------------------
-    def dispatch(
-        self, session: Session, request: dict
-    ) -> Union[dict, Awaitable[dict]]:
-        """One request frame → its response frame, or an awaitable of
-        it bounded by the request's deadline (call on the event loop)."""
+    def dispatch(self, session: Session, request: dict) -> Union[dict, Pending]:
+        """One request frame → its response frame, or the
+        :class:`Pending` record of a request another thread is still
+        answering (call on the event loop)."""
         request_id = reply_id(request)
         try:
             check_envelope(request)
@@ -128,36 +164,10 @@ class Dispatcher:
             deadline = self._deadline(request)
             result = handler(self, session, request, deadline)
         except Exception as error:
-            return self._error(request_id, error)
+            return error_frame(request_id, error)
         if isinstance(result, Deferred):
-            return self._settle(request_id, result, deadline)
-        return self._ok(request_id, result)
-
-    async def _settle(self, request_id: int, deferred: Deferred, deadline: float) -> dict:
-        try:
-            value = await asyncio.wait_for(
-                asyncio.wrap_future(deferred.future), self._remaining(deadline)
-            )
-        except asyncio.TimeoutError:
-            # The wait is cancelled; a ticket's future cannot be (the
-            # operation still commits), a query still queued never runs.
-            return error_frame(
-                request_id, ServiceTimeoutError("request deadline passed")
-            )
-        except Exception as error:
-            return self._error(request_id, error)
-        return self._ok(request_id, value if deferred.key is None else {deferred.key: value})
-
-    @staticmethod
-    def _ok(request_id: int, body: dict) -> dict:
-        body.update({"v": PROTOCOL_VERSION, "id": request_id, "ok": True})
-        return body
-
-    @staticmethod
-    def _error(request_id: int, error: Exception) -> dict:
-        if not isinstance(error, ReproError):  # never leak a traceback over the wire
-            error = ServiceError(f"internal error: {error}")
-        return error_frame(request_id, error)
+            return Pending(request_id, result, deadline)
+        return _ok(request_id, result)
 
     def _deadline(self, request: dict) -> float:
         """The request's single monotonic deadline, clamped to the

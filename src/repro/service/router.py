@@ -13,15 +13,22 @@ client classes, and every existing tool work against it unmodified.
 once — to find the document name and hash it through the persisted
 :class:`~repro.service.supervise.ShardMap` — and then the *original
 payload bytes* are relayed to a per-(connection, shard) upstream
-connection.  Response frames are pumped back verbatim under the client
-connection's write lock; the router parses them only enough to retire
-its pending-id table (which is what lets it synthesise retryable
+connection.  Response frames are pumped back verbatim, in order, into
+the client connection's outbox; the router parses them only enough to
+retire its pending-id table (which is what lets it synthesise retryable
 ``BUSY`` errors for requests a dying worker will never answer).
 Request ids stay client-owned end to end, so pipelining and chunked
-responses pass straight through.  The listener, admission, read loop
-and drain are the same :class:`~repro.service.net.aio.FrameServer` /
+responses pass straight through.  The listener, admission, protocol
+callbacks and drain are the same
+:class:`~repro.service.net.aio.FrameServer` /
 :class:`~repro.service.net.aio.FrameConnection` the single-process
 server runs on; only request handling differs (forward vs dispatch).
+A request for a shard with an open upstream pipe is written in the
+callback that decoded it; one that must open the pipe first returns an
+awaitable, and the client connection stops reading until it finishes,
+so requests still leave in the order they arrived.  A pump that finds
+the client connection above its write high-water mark waits for it to
+drain before reading the worker again.
 
 **Broadcast requests** fan out on per-shard admin clients: ``stats``
 merges the worker registries through
@@ -48,13 +55,12 @@ from __future__ import annotations
 import asyncio
 import time
 from concurrent.futures import ThreadPoolExecutor
-from typing import Optional
+from typing import Awaitable, Optional
 
 from repro.errors import (
     ProtocolError,
     ReproError,
     ServiceBusyError,
-    ServiceError,
 )
 from repro.obs import MetricsRegistry, get_registry
 from repro.service.net.aio import (
@@ -155,8 +161,8 @@ class ShardRouter(FrameServer):
         self._tasks: set[asyncio.Task] = set()
         self._health_task: Optional[asyncio.Task] = None
 
-    def _connection(self, conn_id, reader, writer) -> "_RouterConnection":
-        return _RouterConnection(self, conn_id, reader, writer)
+    def _connection(self, conn_id: int) -> "_RouterConnection":
+        return _RouterConnection(self, conn_id)
 
     async def _open_listener(self) -> None:
         await super()._open_listener()
@@ -438,21 +444,28 @@ class _Upstream:
     def start(self) -> None:
         self._pump_task = asyncio.get_running_loop().create_task(self._pump())
 
-    async def send(self, payload: bytes) -> None:
+    def send(self, payload: bytes) -> Optional[Awaitable]:
+        """Write one request frame; returns an awaitable of the drain
+        when the worker is not keeping up (the caller stops reading its
+        client until it finishes)."""
         if self.dead:
             raise ServiceBusyError(
                 f"shard {self.link.index} connection lost; retry"
             )
+        self.writer.write(HEADER.pack(len(payload)) + payload)
+        transport = self.writer.transport
+        if transport.get_write_buffer_size() > transport.get_write_buffer_limits()[1]:
+            return self._drain()
+        return None
+
+    async def _drain(self) -> None:
         try:
-            self.writer.write(HEADER.pack(len(payload)) + payload)
             await self.writer.drain()
-        except (OSError, ConnectionError) as error:
-            await self._fail()
-            raise ServiceBusyError(
-                f"shard {self.link.index} unreachable ({error}); retry"
-            ) from None
+        except (OSError, ConnectionError):
+            self._fail()  # the pump sees the same loss; BUSY answers the rest
 
     async def _pump(self) -> None:
+        connection = self.connection
         try:
             while True:
                 payload = await read_raw_frame(self.reader)
@@ -461,14 +474,15 @@ class _Upstream:
                 frame = decode_frame_payload(payload)
                 if not frame.get("more", False):
                     self.pending.pop(frame.get("id"), None)
-                await self.connection.send_raw(payload)
+                connection.send_raw(payload)
+                await connection.flushed()  # at once unless the client lags
         except asyncio.CancelledError:
             raise
         except Exception:
             pass
-        await self._fail()
+        self._fail()
 
-    async def _fail(self) -> None:
+    def _fail(self) -> None:
         if self.dead:
             return
         self.dead = True
@@ -479,7 +493,7 @@ class _Upstream:
         )
         abandoned = list(self.pending)
         self.pending.clear()
-        await self.connection.send_frames(
+        self.connection.send_frames(
             error_frame(request_id, error) for request_id in abandoned
         )
         if abandoned:
@@ -497,19 +511,11 @@ class _Upstream:
         for request_id in expired:
             self.pending.pop(request_id, None)
 
-    async def close(self) -> None:
+    def close(self) -> None:
         self.dead = True
         if self._pump_task is not None:
             self._pump_task.cancel()
-            try:
-                await self._pump_task
-            except (asyncio.CancelledError, Exception):
-                pass
-        try:
-            self.writer.close()
-            await self.writer.wait_closed()
-        except Exception:
-            pass
+        self.writer.close()
 
 
 class _RouterConnection(FrameConnection):
@@ -517,8 +523,8 @@ class _RouterConnection(FrameConnection):
 
     server: ShardRouter
 
-    def __init__(self, router: ShardRouter, conn_id, reader, writer) -> None:
-        super().__init__(router, conn_id, reader, writer)
+    def __init__(self, router: ShardRouter, conn_id: int) -> None:
+        super().__init__(router, conn_id)
         self._upstreams: dict[int, _Upstream] = {}
 
     @property
@@ -543,13 +549,13 @@ class _RouterConnection(FrameConnection):
             self._sweep()
             await asyncio.sleep(0.02)
 
-    async def release(self) -> None:
-        for upstream in list(self._upstreams.values()):
-            await upstream.close()
+    def release(self) -> None:
+        for upstream in self._upstreams.values():
+            upstream.close()
         self._upstreams.clear()
 
     # ------------------------------------------------------------------
-    async def handle(self, request: dict, payload: bytes) -> None:
+    def handle(self, request: dict, payload: bytes) -> Optional[Awaitable]:
         router = self.server
         registry = get_registry()
         registry.counter("router.requests").inc()
@@ -558,11 +564,11 @@ class _RouterConnection(FrameConnection):
             check_envelope(request)
             kind = request.get("op")
             if kind == "ping":
-                await self.send_frames([router._ping_response(request)])
-                return
+                self.send_frames([router._ping_response(request)])
+                return None
             if kind in BROADCAST_KINDS:
                 self.spawn(self._broadcast(kind, request))
-                return
+                return None
             if kind not in ROUTED_KINDS:
                 raise ProtocolError(f"unknown request kind {kind!r}")
             doc = _routed_doc(kind, request)
@@ -574,28 +580,54 @@ class _RouterConnection(FrameConnection):
                     f"connection has {self.inflight} requests in flight "
                     f"(limit {router._max_inflight}); slow down"
                 )
-            upstream = await self._upstream(router.map.shard_of(doc))
-            timeout = request.get("timeout")
-            if not isinstance(timeout, (int, float)) or timeout <= 0:
-                timeout = router._max_request_timeout
-            clamped = min(float(timeout), router._max_request_timeout)
-            upstream.pending[request_id] = time.monotonic() + clamped + 5.0
-            try:
-                await upstream.send(payload)
-            except ServiceBusyError:
-                upstream.pending.pop(request_id, None)
-                raise
-            registry.counter("router.forwarded").inc()
-        except ReproError as error:
-            if isinstance(error, ServiceBusyError):
-                registry.counter("router.busy").inc()
-            await self.send_frames([error_frame(request_id, error)])
-        except Exception as error:  # never leak a traceback over the wire
-            await self.send_frames(
-                [error_frame(request_id, ServiceError(f"internal error: {error}"))]
-            )
+            shard = router.map.shard_of(doc)
+            upstream = self._live_upstream(shard)
+            if upstream is None:
+                return self._connect_and_forward(shard, request, payload)
+            return self._forward(upstream, request, payload)
+        except Exception as error:
+            self._refuse(request_id, error)
+            return None
 
-    async def _upstream(self, shard: int) -> _Upstream:
+    def _forward(
+        self, upstream: _Upstream, request: dict, payload: bytes
+    ) -> Optional[Awaitable]:
+        router = self.server
+        request_id = reply_id(request)
+        timeout = request.get("timeout")
+        if not isinstance(timeout, (int, float)) or timeout <= 0:
+            timeout = router._max_request_timeout
+        clamped = min(float(timeout), router._max_request_timeout)
+        upstream.pending[request_id] = time.monotonic() + clamped + 5.0
+        try:
+            drained = upstream.send(payload)
+        except ServiceBusyError:
+            upstream.pending.pop(request_id, None)
+            raise
+        get_registry().counter("router.forwarded").inc()
+        return drained
+
+    async def _connect_and_forward(
+        self, shard: int, request: dict, payload: bytes
+    ) -> None:
+        try:
+            upstream = await self._connect(shard)
+            drained = self._forward(upstream, request, payload)
+            if drained is not None:
+                await drained
+        except asyncio.CancelledError:
+            raise
+        except Exception as error:
+            self._refuse(reply_id(request), error)
+
+    def _refuse(self, request_id: int, error: Exception) -> None:
+        if isinstance(error, ServiceBusyError):
+            get_registry().counter("router.busy").inc()
+        self.send_frames([error_frame(request_id, error)])
+
+    def _live_upstream(self, shard: int) -> Optional[_Upstream]:
+        """The open pipe to ``shard``, or None when one must be opened;
+        raises BUSY while the shard restarts."""
         link = self.server._links[shard]
         if not link.up:
             raise ServiceBusyError(f"shard {shard} is restarting; retry")
@@ -603,26 +635,29 @@ class _RouterConnection(FrameConnection):
         if upstream is not None and (
             upstream.dead or upstream.generation != link.generation
         ):
-            await upstream.close()
-            self._upstreams.pop(shard, None)
+            upstream.close()
+            del self._upstreams[shard]
             upstream = None
-        if upstream is None:
-            try:
-                reader, writer = await asyncio.wait_for(
-                    asyncio.open_connection(
-                        self.server.supervisor.host,
-                        self.server.supervisor.port(link.index),
-                    ),
-                    5.0,
-                )
-            except (OSError, ConnectionError, asyncio.TimeoutError, ReproError) as error:
-                self.server._shard_trouble(link)
-                raise ServiceBusyError(
-                    f"shard {shard} unavailable ({error}); retry"
-                ) from None
-            upstream = _Upstream(self, link, reader, writer)
-            self._upstreams[shard] = upstream
-            upstream.start()
+        return upstream
+
+    async def _connect(self, shard: int) -> _Upstream:
+        link = self.server._links[shard]
+        try:
+            reader, writer = await asyncio.wait_for(
+                asyncio.open_connection(
+                    self.server.supervisor.host,
+                    self.server.supervisor.port(link.index),
+                ),
+                5.0,
+            )
+        except (OSError, ConnectionError, asyncio.TimeoutError, ReproError) as error:
+            self.server._shard_trouble(link)
+            raise ServiceBusyError(
+                f"shard {shard} unavailable ({error}); retry"
+            ) from None
+        upstream = _Upstream(self, link, reader, writer)
+        self._upstreams[shard] = upstream
+        upstream.start()
         return upstream
 
     async def _broadcast(self, kind: str, request: dict) -> None:
@@ -631,15 +666,11 @@ class _RouterConnection(FrameConnection):
             responses = await self.server._fanout(kind, request)
             merged = self.server._merge_broadcast(kind, responses)
             merged.update({"v": PROTOCOL_VERSION, "id": request_id, "ok": True})
-            await self.send_frames([merged])
+            self.send_frames([merged])
         except asyncio.CancelledError:
             raise
-        except ReproError as error:
-            await self.send_frames([error_frame(request_id, error)])
         except Exception as error:
-            await self.send_frames(
-                [error_frame(request_id, ServiceError(f"internal error: {error}"))]
-            )
+            self.send_frames([error_frame(request_id, error)])
 
 
 class ShardCluster:

@@ -142,6 +142,11 @@ class StoreHost:
         self.name = name
         self.store = store
 
+    @property
+    def policy(self) -> RefPolicy:
+        """The store's reference policy: statements parse under it."""
+        return self.store.policy
+
     def apply(self, op: ServiceOp) -> None:
         if isinstance(op, SubtreeDelete):
             where, params = _ids_where(op.relation, op.ids)
@@ -207,13 +212,16 @@ class StoreHost:
 Host = Union[DocumentHost, StoreHost]
 
 
-def run_statement_query(host: Host, statement: Union[str, Query]) -> list[str]:
+def run_statement_query(
+    host: Host, statement: Union[str, Query], text: Optional[str] = None
+) -> list[str]:
     """A read-only XQuery statement against either host kind, rendered
     to strings (runs under the document's read lock on the query pool).
-    A document host also takes the statement already parsed; a store
-    host takes its text."""
+    Either host takes the statement as text or already parsed under its
+    policy; a store host keys its plan cache by ``text``, the parsed
+    statement's source."""
     if isinstance(host, StoreHost):
-        nodes = host.store.query(statement)
+        nodes = host.store.query(statement, key=text)
     else:
         engine = XQueryEngine({host.name: host.document}, policy=host.policy)
         result = engine.execute(statement)
@@ -672,8 +680,10 @@ class UpdateService:
         """:meth:`execute` without the wait: parse ``statement`` once on
         the calling thread, start it, and return a future of the reply.
 
-        A read goes to the query pool with the parsed statement, so the
-        pool never parses it again.  An update is submitted with
+        The statement parses under the host's policy.  A read goes to the
+        query pool with the parsed statement and its text, so the pool
+        never parses it again and a store host still finds its plan
+        cached under the text.  An update is submitted with
         ``admit_timeout`` (see :meth:`submit`) and its reply is built by
         a done-callback on the ticket's future; that future is marked
         running, like the ticket's, so a caller that stops waiting
@@ -682,11 +692,12 @@ class UpdateService:
         passes never runs."""
         deadline = _deadline(timeout)
         host = self.host(doc)
-        parsed = XQueryEngine({}, policy=getattr(host, "policy", None)).parse(statement)
+        parsed = XQueryEngine({}, policy=host.policy).parse(statement)
         if not parsed.is_update:
-            text = statement if isinstance(host, StoreHost) else parsed
             return self.query_future(
-                doc, lambda h: {"results": run_statement_query(h, text)}, timeout
+                doc,
+                lambda h: {"results": run_statement_query(h, parsed, statement)},
+                timeout,
             )
         if not isinstance(host, DocumentHost):
             raise ServiceError(

@@ -17,21 +17,27 @@ operation                 shape
                           key) on 2 x 100 orders
 ``durable_append``        ``svc_append``: one two-op delta (delete a lane's
                           first entry, append one) on 2 x 250 entries
+``execute_read_store``    no workload: one read statement through
+                          ``UpdateService.execute`` on a store host (the
+                          customers of one city, Figure 4's DTD)
 ========================  ===================================================
 
 The statement runs in place on the committer, so it copies nothing, and
 no write rebuilds the ID index; a dangling IDREF rebuilds it at most
 once per write, not once per lookup.  ``execute`` parses its statement
-once: a read hands the parsed statement to the query pool, so each
-``execute`` makes one statement-cache lookup (``cache.parse.hits`` plus
-``cache.parse.misses``).
+once, under the host's policy: a read hands the parsed statement to
+the query pool (with its text, which a store host keys its plan cache
+by), so each ``execute`` makes one statement-cache lookup
+(``cache.parse.hits`` plus ``cache.parse.misses``) on either host kind.
 """
 
 import pytest
 
 from repro.obs import counter_delta, get_registry
+from repro.relational.store import XmlStore
 from repro.service import DeltaUpdate, ServiceConfig, UpdateService
 from repro.updates.delta import DeleteNode, InsertNode
+from repro.workloads.tpcw import CUSTOMER_DTD, CustomerParams, generate_customers
 from repro.xmlmodel import parse
 
 COPIES = "xmlmodel.document.copies"
@@ -40,6 +46,7 @@ APPENDS = "wal.appends"
 FSYNCS = "wal.fsyncs"
 #: Statement-cache lookups: the sum of two counters, not one counter.
 LOOKUPS = "cache.parse.lookups"
+PLAN_HITS = "cache.plan.hits"
 TIMEOUT = 30
 END = 1 << 30
 
@@ -99,16 +106,33 @@ def durable_append(service):
     )
 
 
+def execute_read_store(service):
+    doc = "c.xml"
+    store = XmlStore.from_dtd(CUSTOMER_DTD, document_name=doc)
+    store.load(generate_customers(CustomerParams(customers=4, seed=1)))
+    service.host_store(doc, store)
+    service.start()
+    yield lambda: service.execute(
+        doc,
+        f'FOR $c IN document("{doc}")/CustDB/Customer '
+        'WHERE $c/Address/City = "Seattle" RETURN $c',
+        timeout=TIMEOUT,
+    )
+
+
 #: operation -> its pinned counts.  Before statements ran in place on
 #: the committer, execute_update copied the document once and rebuilt
 #: an ID index twice, and durable_append rebuilt one twice (the parsed
 #: insert fragment's and the whole document's); 100 dangling lookups
 #: rebuilt the index 100 times.  Before the query pool took the parsed
-#: statement, execute_read looked it up in the statement cache twice.
+#: statement, execute_read looked it up in the statement cache twice,
+#: and execute_read_store did until the store took it parsed, keyed by
+#: its text (so its plan is still cached).
 CARDS = {
     execute_update: {COPIES: 0, REINDEXES: 0, APPENDS: 2, FSYNCS: 1, LOOKUPS: 1},
     execute_read: {COPIES: 0, REINDEXES: 0, APPENDS: 0, FSYNCS: 0, LOOKUPS: 1},
     durable_append: {COPIES: 0, REINDEXES: 0, APPENDS: 2, FSYNCS: 1},
+    execute_read_store: {APPENDS: 0, FSYNCS: 0, LOOKUPS: 1, PLAN_HITS: 1},
 }
 
 

@@ -9,6 +9,10 @@ coalesced across frame boundaries, or split inside a length prefix.
 partial read "from the top" desynchronised the stream and every
 subsequent frame decoded as garbage.)
 
+The same holds for a consumer that takes one payload at a time and
+leaves the rest buffered (``extend`` / ``next_payload``), which is how
+every server connection reads.
+
 Also here: the chunked-response codec —
 ``split_response`` → ``ChunkAssembler`` is the identity on any
 response, at any chunk size.
@@ -65,6 +69,32 @@ class TestFrameDecoder:
         for piece in cut_stream(stream, cuts):
             decoded.extend(decoder.feed(piece))
         assert decoded == frames
+        assert not decoder.mid_frame
+
+    @settings(max_examples=120, deadline=None)
+    @given(frames=st.lists(frame_objects, max_size=6), data=st.data())
+    def test_one_payload_at_a_time_keeps_the_rest_buffered(self, frames, data):
+        """The server's way of reading: after each slice it takes at most
+        ``budget`` payloads (it stops while its peer is not reading) and
+        the rest stays buffered, in order, for the next call."""
+        encoded = [encode_frame(frame) for frame in frames]
+        stream = b"".join(encoded)
+        cuts = data.draw(
+            st.lists(
+                st.integers(min_value=0, max_value=len(stream)), max_size=24
+            )
+        )
+        decoder = FrameDecoder()
+        payloads = []
+        for piece in cut_stream(stream, cuts):
+            decoder.extend(piece)
+            for _ in range(data.draw(st.integers(min_value=0, max_value=2))):
+                payload = decoder.next_payload()
+                if payload is None:
+                    break
+                payloads.append(payload)
+        payloads.extend(iter(decoder.next_payload, None))
+        assert payloads == [frame[HEADER.size :] for frame in encoded]
         assert not decoder.mid_frame
 
     def test_byte_at_a_time(self):

@@ -424,10 +424,10 @@ class TestChunkedResponses:
 
 
 class TestConnectionScale:
-    def test_hundreds_of_idle_connections_one_task_each(self, aserved):
-        """Idle connections are cheap tasks, not threads: a fleet far
-        past any thread-per-connection budget stays connected and the
-        server still serves."""
+    def test_hundreds_of_idle_connections_hold_no_task(self, aserved):
+        """An idle connection is protocol callbacks, not a task or a
+        thread: a fleet far past any thread-per-connection budget stays
+        connected and the server still serves."""
         _service, server = aserved
         fleet_size = 300
 

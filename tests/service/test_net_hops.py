@@ -22,10 +22,16 @@ each through a real server:
   and both kinds of ``execute`` make two hand-offs each (loop → the
   committer or a query-pool thread → loop);
 * ``execute``'s read runs on the query pool without holding any other
-  thread, so more concurrent executes than query workers complete.
+  thread, so more concurrent executes than query workers complete;
+* no request creates a task on the server's loop: a connection is
+  protocol callbacks, and a request another thread answers is written
+  from its future's done-callback (3 tasks per request when each
+  connection was a coroutine racing a frame read against drain, timing
+  the rest of the frame with ``wait_for``, and spawning the dispatch).
 """
 
 import asyncio
+import collections
 import concurrent.futures
 import gc
 import logging
@@ -401,6 +407,56 @@ class TestLoopAdmission:
             name.startswith("service-query") for name in threads["read"]
         )
         assert blocked_in_scenario == []
+
+
+class TestNoTaskPerRequest:
+    KINDS = {
+        "ping": lambda client, i: client.ping(),
+        "submit": lambda client, i: client.submit(entry_op(i)),
+        "submit_wait": lambda client, i: client.submit_wait(entry_op(i)),
+        "query": lambda client, i: client.query(DOC),
+        "execute_read": lambda client, i: client.execute(DOC, READ_STATEMENT),
+        "execute_update": lambda client, i: client.execute(DOC, insert_statement(i)),
+    }
+
+    def test_steady_state_requests_create_no_task(self):
+        """A counting task factory on the server's loop, installed once
+        the connection is open: 20 lockstep requests of each kind create
+        no task there."""
+        service = make_service()
+        server = AsyncNetServer(service, own_service=True).start()
+        loop = server._loop_thread._loop
+        created = collections.Counter()
+        installed = threading.Event()
+
+        def counting_factory(loop, coro, **kwargs):
+            created[coro.__qualname__] += 1
+            return asyncio.Task(coro, loop=loop, **kwargs)
+
+        def install():
+            loop.set_task_factory(counting_factory)
+            installed.set()
+
+        async def scenario():
+            per_kind = {}
+            async with await AsyncServiceClient.connect(*server.address) as client:
+                for kind, request in self.KINDS.items():
+                    for index in range(3):  # warm: first-use paths
+                        await request(client, index)
+                    await client.flush()  # runs on the default executor
+                    loop.call_soon_threadsafe(install)
+                    assert installed.wait(JOIN_TIMEOUT)
+                    before = sum(created.values())
+                    for index in range(20):
+                        await request(client, index)
+                    per_kind[kind] = sum(created.values()) - before
+            return per_kind
+
+        try:
+            per_kind = asyncio.run(scenario())
+        finally:
+            server.close()
+        assert per_kind == dict.fromkeys(self.KINDS, 0), dict(created)
 
 
 class TestNestedPools:
